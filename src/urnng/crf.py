@@ -4,12 +4,16 @@ A sentence of length T gets one real-valued score per span ``(i, j)``; a
 tree's unnormalized log-weight is the sum of scores over its spans (singleton
 spans included: they appear in every tree, so they shift the partition
 function but leave the distribution unchanged).  Everything downstream of the
-scores is an O(T^3) chart recursion:
+scores is an O(T^3) chart filled one width at a time.  The width-w chart is a
+diagonal laid out start-major, a vector of length (T-w+1)·B holding span
+(i, i+w-1) of batch row b at (i-1)·B + b.  :func:`_fill_chart` is the one
+recursion: per width it gathers the children of every span at every split
+point into one [w-1, (T-w+1)·B] array, which a semiring ``combine`` reduces:
 
-* :func:`inside`, the log partition function,
-* :func:`sample_tree`, exact top-down ancestral sampling,
-* :func:`tree_entropy`, exact entropy of the tree distribution,
-* :func:`viterbi`, the argmax tree.
+* :func:`inside`, the log partition function (log-sum-exp), which keeps the
+  split log-weights that :func:`sample_tree` draws exact samples from,
+* :func:`tree_entropy`, exact entropy (expectation semiring),
+* :func:`viterbi`, the argmax tree (max).
 
 :class:`InferenceNetwork` produces the scores from a bidirectional LSTM over
 the sentence; the chart functions accept scores from any source, which is how
@@ -65,7 +69,6 @@ class SpanScores:
         self.length = length
         self.batch = flat.shape[0]
         self.flat = flat
-        self._cells: dict[tuple[int, int], Tensor] = {}
 
     @classmethod
     def from_table(cls, table, requires_grad: bool = False) -> "SpanScores":
@@ -76,22 +79,16 @@ class SpanScores:
         return cls(length, Tensor(row[None, :], requires_grad=requires_grad,
                                   name="span_scores"))
 
-    def cell(self, i: int, j: int) -> Tensor:
-        """Scores of span (i, j) across the batch, shape [B]."""
-        got = self._cells.get((i, j))
-        if got is None:
-            idx = _span_index(self.length)[(i, j)]
-            got = ad.reshape(ad.narrow(self.flat, 1, idx, 1), (self.batch,))
-            self._cells[(i, j)] = got
-        return got
-
-    def numpy_table(self, b: int = 0) -> np.ndarray:
-        """Dense (T+1, T+1) table indexed [i][j] with 1-based spans."""
-        t = self.length
-        out = np.full((t + 1, t + 1), -np.inf)
-        row = self.flat.data[b]
-        for idx, (i, j) in enumerate(span_order(t)):
-            out[i, j] = row[idx]
+    def diagonals(self) -> list[Tensor | None]:
+        """Scores by width: entry w is the start-major [(T-w+1)·B] diagonal."""
+        t, batch = self.length, self.batch
+        column = ad.reshape(ad.transpose(self.flat), (self.flat.data.size,))
+        out: list[Tensor | None] = [None]
+        for w in range(1, t + 1):
+            s = np.arange(t - w + 1)  # i - 1 for every start i
+            idx = s * t - s * (s - 1) // 2 + w - 1  # span_order of (i, i+w-1)
+            out.append(ad.take_rows(
+                column, (idx[:, None] * batch + np.arange(batch)).ravel()))
         return out
 
 
@@ -102,52 +99,60 @@ def flatten(scores: SpanScores, temperature: float) -> SpanScores:
     return SpanScores(scores.length, ad.scale(scores.flat, 1.0 / temperature))
 
 
-class Chart:
-    """Inside quantities for one batch of score tables."""
+def _fill_chart(first: Tensor, length: int, batch: int, combine) -> Tensor:
+    """Fill widths 2..T from the width-1 diagonal; returns the width-T one.
 
-    def __init__(self, scores: SpanScores,
-                 log_beta: dict[tuple[int, int], Tensor], log_z: Tensor):
+    ``combine(w, pairs)`` receives the left-plus-right child values of every
+    width-w span at every split point, shape [w-1, (T-w+1)·B], and returns
+    the width-w diagonal.
+    """
+    diags = [None, first]
+    for w in range(2, length + 1):
+        n = (length - w + 1) * batch
+        left = ad.stack0([ad.narrow(diags[m], 0, 0, n) for m in range(1, w)])
+        right = ad.stack0([ad.narrow(diags[w - m], 0, m * batch, n)
+                           for m in range(1, w)])
+        diags.append(combine(w, ad.add(left, right)))
+    return diags[length]
+
+
+class Chart:
+    """Inside quantities for one batch of score tables.
+
+    ``split_log_weights[w]`` (w >= 2) holds the log-probabilities of the split
+    points of every width-w span, shape [w-1, (T-w+1)·B], on the tape.
+    """
+
+    def __init__(self, scores: SpanScores, log_z: Tensor,
+                 split_log_weights: list[Tensor | None]):
         self.scores = scores
         self.length = scores.length
         self.batch = scores.batch
-        self.log_beta = log_beta
         self.log_z = log_z
-        self._split_lw: dict[tuple[int, int], Tensor] = {}
-        self._split_w_np: dict[tuple[int, int], np.ndarray] = {}
+        self.split_log_weights = split_log_weights
+        self._split_weights = [None, None]  # transposed: one row per span
+        for lw in split_log_weights[2:]:
+            p = np.exp(lw.data)
+            self._split_weights.append(
+                np.ascontiguousarray((p / p.sum(axis=0, keepdims=True)).T))
 
-    def split_log_weights(self, i: int, j: int) -> Tensor:
-        """Log-probabilities over split points k of span (i, j), shape [j-i, B]."""
-        got = self._split_lw.get((i, j))
-        if got is None:
-            lb = self.log_beta
-            cand = ad.stack0([ad.add(lb[(i, k)], lb[(k + 1, j)])
-                              for k in range(i, j)])
-            got = ad.add_row(cand, ad.scale(ad.logsumexp(cand, 0), -1.0))
-            self._split_lw[(i, j)] = got
-        return got
-
-    def split_weights(self, i: int, j: int) -> np.ndarray:
-        got = self._split_w_np.get((i, j))
-        if got is None:
-            got = np.exp(self.split_log_weights(i, j).data)
-            got = got / got.sum(axis=0, keepdims=True)
-            self._split_w_np[(i, j)] = got
-        return got
+    def split_weights(self, i: int, j: int, b: int = 0) -> np.ndarray:
+        """Probabilities over split points k = i..j-1 of span (i, j), row b."""
+        return self._split_weights[j - i + 1][(i - 1) * self.batch + b]
 
 
 def inside(scores: SpanScores) -> Chart:
     """Log-space inside recursion; ``chart.log_z`` has shape [B]."""
-    t = scores.length
-    lb: dict[tuple[int, int], Tensor] = {}
-    for i in range(1, t + 1):
-        lb[(i, i)] = scores.cell(i, i)
-    for width in range(2, t + 1):
-        for i in range(1, t - width + 2):
-            j = i + width - 1
-            cand = ad.stack0([ad.add(lb[(i, k)], lb[(k + 1, j)])
-                              for k in range(i, j)])
-            lb[(i, j)] = ad.add(scores.cell(i, j), ad.logsumexp(cand, 0))
-    return Chart(scores, lb, lb[(1, t)])
+    diags = scores.diagonals()
+    split_lw: list[Tensor | None] = [None, None]
+
+    def combine(w: int, pairs: Tensor) -> Tensor:
+        lse = ad.logsumexp(pairs, 0)
+        split_lw.append(ad.add_row(pairs, ad.scale(lse, -1.0)))
+        return ad.add(diags[w], lse)
+
+    log_z = _fill_chart(diags[1], scores.length, scores.batch, combine)
+    return Chart(scores, log_z, split_lw)
 
 
 def sample_tree(chart: Chart, rng: np.random.Generator,
@@ -161,8 +166,7 @@ def sample_tree(chart: Chart, rng: np.random.Generator,
         spans.add((i, j))
         if i == j:
             continue
-        weights = chart.split_weights(i, j)[:, b]
-        k = i + int(rng.choice(j - i, p=weights))
+        k = i + int(rng.choice(j - i, p=chart.split_weights(i, j, b)))
         agenda.append((i, k))
         agenda.append((k + 1, j))
     tree = TreeRepr(t, frozenset(spans))
@@ -187,19 +191,12 @@ def tree_log_prob_batch(chart: Chart, trees: list[TreeRepr],
     ``rows[r]`` names the chart batch row that scores ``trees[r]``; the same
     row may appear many times (e.g. K samples per sentence).
     """
-    index = _span_index(chart.length)
     rows = np.asarray(rows, dtype=np.int64)
     if len(trees) != rows.shape[0]:
         raise ValueError(f"{len(trees)} trees vs {rows.shape[0]} rows")
-    picks = np.zeros((len(trees), len(index)))
-    for r, tree in enumerate(trees):
-        if tree.length != chart.length:
-            raise ValueError(
-                f"tree length {tree.length} vs chart length {chart.length}")
-        for span in tree.spans:
-            picks[r, index[span]] = 1.0
+    picks = Tensor(span_indicator(trees, chart.length))
     scored = ad.sum_axis(ad.mul(ad.take_rows(chart.scores.flat, rows),
-                                Tensor(picks)), 1)
+                                picks), 1)
     return ad.sub(scored, ad.take_rows(chart.log_z, rows))
 
 
@@ -210,20 +207,13 @@ def tree_entropy(chart: Chart) -> Tensor:
     entropy plus the expected entropies of the chosen children.  The result
     stays on the tape, so its gradient w.r.t. the scores is available.
     """
-    cells: dict[tuple[int, int], Tensor] = {}
-    zero = Tensor(np.zeros(chart.batch))
-    t = chart.length
-    for i in range(1, t + 1):
-        cells[(i, i)] = zero
-    for width in range(2, t + 1):
-        for i in range(1, t - width + 2):
-            j = i + width - 1
-            lw = chart.split_log_weights(i, j)
-            children = ad.stack0([ad.add(cells[(i, k)], cells[(k + 1, j)])
-                                  for k in range(i, j)])
-            cells[(i, j)] = ad.sum_axis(
-                ad.mul(ad.exp(lw), ad.sub(children, lw)), 0)
-    return cells[(1, t)]
+    lw = chart.split_log_weights
+
+    def combine(w: int, children: Tensor) -> Tensor:
+        return ad.sum_axis(ad.mul(ad.exp(lw[w]), ad.sub(children, lw[w])), 0)
+
+    zero = Tensor(np.zeros(chart.length * chart.batch))
+    return _fill_chart(zero, chart.length, chart.batch, combine)
 
 
 def viterbi(scores: SpanScores, b: int = 0) -> tuple[TreeRepr, float]:
@@ -233,33 +223,25 @@ def viterbi(scores: SpanScores, b: int = 0) -> tuple[TreeRepr, float]:
     an all-constant table yields the fully left-branching tree.
     """
     t = scores.length
-    table = scores.numpy_table(b)
-    best = np.full((t + 2, t + 2), -np.inf)
-    back = np.zeros((t + 2, t + 2), dtype=np.int64)
-    for i in range(1, t + 1):
-        best[i, i] = table[i, i]
-    for width in range(2, t + 1):
-        for i in range(1, t - width + 2):
-            j = i + width - 1
-            score = -np.inf
-            pick = i
-            for k in range(i, j):
-                cand = best[i, k] + best[k + 1, j]
-                if cand >= score:
-                    score = cand
-                    pick = k
-            best[i, j] = table[i, j] + score
-            back[i, j] = pick
+    diags = SpanScores(t, Tensor(scores.flat.data[[b]])).diagonals()
+    back: list[np.ndarray | None] = [None, None]
+
+    def combine(w: int, pairs: Tensor) -> Tensor:
+        # argmax over the reversed split axis, so the largest split wins ties
+        back.append(w - 2 - np.argmax(pairs.data[::-1], axis=0))
+        return Tensor(diags[w].data + pairs.data.max(axis=0))
+
+    best = _fill_chart(diags[1], t, 1, combine)
     spans: set[tuple[int, int]] = set()
     agenda = [(1, t)]
     while agenda:
         i, j = agenda.pop()
         spans.add((i, j))
         if i < j:
-            k = int(back[i, j])
+            k = i + int(back[j - i + 1][i - 1])
             agenda.append((i, k))
             agenda.append((k + 1, j))
-    return TreeRepr(t, frozenset(spans)), float(best[1, t])
+    return TreeRepr(t, frozenset(spans)), float(best.data[0])
 
 
 class InferenceNetwork:

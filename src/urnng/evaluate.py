@@ -333,22 +333,27 @@ def evaluate_corpus(sentences: list[Sentence], model: GenerativeModel,
                     temperature: float = DEFAULT_TEMPERATURE,
                     length_edges=(0, 10, 20, 30, 40, 150),
                     labels=DEFAULT_LABELS, seed: int = 0) -> EvalReport:
-    """Full measurement pass; gold trees (if given) add bracketing scores."""
-    perplexity, log_marginals = iw_perplexity(
-        sentences, model, inference, k, temperature, seed)
-    dist = distributional_metrics(sentences, model, inference, k, seed)
-    report = EvalReport(perplexity=perplexity, log_marginals=log_marginals,
-                        ppl_by_length=ppl_by_length(
-                            sentences, log_marginals, length_edges),
-                        **dist)
+    """Full measurement pass; gold trees (if given) add bracketing scores.
+
+    Bracketing runs first, so a gold corpus with no evaluable bracket raises
+    ``DataError`` before the costly importance-weighted pass.
+    """
+    brackets = {}
     if gold is not None:
         predicted = viterbi_parses(inference, sentences)
         punct = [s.punct for s in sentences]
-        report.corpus_f1, report.sentence_f1 = unlabeled_f1(
+        brackets["corpus_f1"], brackets["sentence_f1"] = unlabeled_f1(
             predicted, gold, punct)
         if all(isinstance(g, ParseNode) for g in gold):
-            report.label_recall = label_recall(predicted, gold, punct, labels)
-    return report
+            brackets["label_recall"] = label_recall(predicted, gold, punct,
+                                                    labels)
+    perplexity, log_marginals = iw_perplexity(
+        sentences, model, inference, k, temperature, seed)
+    dist = distributional_metrics(sentences, model, inference, k, seed)
+    return EvalReport(perplexity=perplexity, log_marginals=log_marginals,
+                      ppl_by_length=ppl_by_length(
+                          sentences, log_marginals, length_edges),
+                      **dist, **brackets)
 
 
 def format_report(report: EvalReport) -> str:

@@ -66,15 +66,14 @@ def _check_partition(rng, max_length, trials) -> PropertyResult:
 
 def _check_viterbi(rng, max_length, trials) -> PropertyResult:
     worst = 0.0
-    ok = True
     for _ in range(trials):
         t = int(rng.integers(1, max_length + 1))
         scores = _random_scores(rng, t)
-        tree, score = viterbi(scores, 0)
-        best_tree, best = oracle.exact_argmax(scores)
+        # only the score is compared: a different tree with the same score
+        # is a genuine tie and is accepted
+        _, score = viterbi(scores, 0)
+        _, best = oracle.exact_argmax(scores)
         worst = max(worst, abs(score - best))
-        if abs(score - best) <= TOL and tree != best_tree:
-            ok = False  # same score, different tree: genuine tie, accept
     return PropertyResult("Viterbi matches enumerated argmax",
                           worst <= TOL, f"max score gap {worst:.2e}")
 

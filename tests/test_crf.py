@@ -48,10 +48,32 @@ class TestInside:
         t = 6
         flat = rng.standard_normal((4, len(span_order(t))))
         batched = inside(SpanScores(t, Tensor(flat)))
+        entropy = tree_entropy(batched).data
         for b in range(4):
             single = inside(SpanScores(t, Tensor(flat[b:b + 1])))
             np.testing.assert_allclose(batched.log_z.data[b],
                                        single.log_z.data[0], rtol=1e-14)
+            np.testing.assert_allclose(entropy[b],
+                                       tree_entropy(single).data[0],
+                                       rtol=1e-14)
+            for i, j in span_order(t):
+                if i < j:
+                    np.testing.assert_allclose(
+                        batched.split_weights(i, j, b),
+                        single.split_weights(i, j), rtol=1e-14)
+
+    def test_longest_sentence_tape_is_quadratic(self):
+        # the chart tape grows with the number of widths times split points,
+        # not with the number of cells times split points (about T^3 / 2)
+        t = 150
+        flat = Tensor(np.random.default_rng(2).standard_normal(
+            (1, len(span_order(t)))), requires_grad=True)
+        with Tape() as tape:
+            chart = inside(SpanScores(t, flat))
+            root = ad.sum_all(ad.add(chart.log_z, tree_entropy(chart)))
+        assert len(tape) < 5 * t * t
+        grad = tape.backward(root)[flat]
+        assert grad.shape == flat.shape and np.all(np.isfinite(grad))
 
     def test_constant_shift_cancels_in_distribution(self):
         rng = np.random.default_rng(2)

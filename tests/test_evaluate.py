@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from urnng import oracle
+from urnng import evaluate, oracle
 from urnng.crf import SpanScores, flatten
 from urnng.evaluate import (EvalReport, bracket_multiset,
                             distributional_metrics, evaluate_corpus,
@@ -392,6 +392,18 @@ class TestPreferGrammatical:
 
 
 class TestReportOutput:
+    def test_unevaluable_gold_fails_before_iw_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate, "iw_perplexity",
+                            lambda *args: calls.append(args))
+        model, net = tiny_models()
+        # after the final punctuation goes, only trivial spans remain
+        sentences = [sentence_of([2, 3, 4], punct=[False, False, True])]
+        gold = [parse_sexprs("(S (NP (X a) (X b)) (X .))")[0]]
+        with pytest.raises(DataError, match="no evaluable gold"):
+            evaluate_corpus(sentences, model, net, gold=gold, k=1000)
+        assert calls == []
+
     def test_evaluate_corpus_and_writers(self, tmp_path):
         model, net = tiny_models()
         sentences = [sentence_of([2, 3, 4]), sentence_of([5, 6, 7, 3]),
