@@ -7,12 +7,21 @@ reverse and returns a gradient for every leaf tensor that contributed to the
 requested scalar.  Outside a tape the same operations run as plain numpy
 evaluation, which is how all inference-time code paths avoid bookkeeping cost.
 
+Two kinds of partial are kept factored while :meth:`Tape.backward` runs, so
+that a weight shared by many time steps gets its gradient from one GEMM or
+one scatter instead of a full-size array per step: the right-operand partial
+``a.T @ g`` of :func:`matmul` and the scatter of :func:`take_rows`.  They are
+formed when the receiving node's vjp runs, or when ``backward`` returns for a
+leaf.  All other partials are summed densely as they arrive.
+
 All operations check their outputs for NaN/Inf by default and raise
 :class:`NumericError` on violation; see :func:`set_check_finite`.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +153,70 @@ class _Node:
         self.tape = tape
 
 
+# A partial kept factored: ``a.T @ g`` when ``rows`` is None, else the rows
+# of ``g`` scatter-added at ``rows`` into a zero table.
+_Factors = namedtuple("_Factors", "a rows g")
+
+
+def _plus(total, part) -> np.ndarray:
+    # The first partial is copied, so later ones can be added in place.
+    if total is None:
+        return np.array(part, dtype=np.float64, order="C")
+    total += part
+    return total
+
+
+def _cat(arrays) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class _Sum:
+    """Running gradient of a tensor that has received factored partials.
+
+    The factors never hold more bytes than the dense gradient they stand
+    for; once they would, they are folded into the dense sum.
+    """
+
+    __slots__ = ("dense", "factors", "shape", "nbytes")
+
+    def __init__(self, dense, shape):
+        self.dense, self.factors, self.shape, self.nbytes = dense, [], shape, 0
+
+    def form(self) -> np.ndarray:
+        outer = [(f.a, f.g) for f in self.factors if f.rows is None]
+        scatter = [(f.rows, f.g) for f in self.factors if f.rows is not None]
+        self.factors, self.nbytes = [], 0
+        if outer:
+            a, g = map(_cat, zip(*outer))
+            del outer  # frees the per-step partials before the GEMM
+            prod = a.T @ g
+            self.dense = prod if self.dense is None else _plus(self.dense, prod)
+        if scatter:
+            if self.dense is None:
+                self.dense = np.zeros(self.shape)
+            np.add.at(self.dense, *map(_cat, zip(*scatter)))
+        return self.dense
+
+
+def _accumulate(store: dict, key, shape: tuple, part) -> None:
+    # Dense partials stay plain arrays; a tensor's entry becomes a _Sum only
+    # once a factored partial arrives for it.
+    entry = store.get(key)
+    if type(part) is not _Factors:
+        if type(entry) is _Sum:
+            entry.dense = _plus(entry.dense, part)
+        else:
+            store[key] = _plus(entry, part)
+        return
+    if type(entry) is not _Sum:
+        entry = store[key] = _Sum(entry, shape)
+    entry.factors.append(part)
+    entry.nbytes += part.g.nbytes + (
+        part.a if part.rows is None else part.rows).nbytes
+    if entry.nbytes > 8 * math.prod(shape):
+        entry.form()
+
+
 _tape_stack: list["Tape"] = []
 
 
@@ -178,6 +251,10 @@ class Tape:
         ``root`` must be a scalar produced on this tape.  Leaves are tensors
         with ``requires_grad`` set that were not themselves produced here.
         Leaves that do not influence ``root`` are absent from the result.
+
+        Right-operand partials of ``matmul`` and partials of ``take_rows``
+        are held as factors and formed by one GEMM and one ``np.add.at``
+        per tensor, when its vjp runs or, for a leaf, before this returns.
         """
         if root.data.size != 1:
             raise ShapeError(
@@ -186,28 +263,22 @@ class Tape:
         if root.node is None or root.node.tape is not self:
             raise ValueError("backward: root was not produced on this tape")
 
-        pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-        leaves: dict[Tensor, np.ndarray] = {}
+        pending: dict[int, np.ndarray | _Sum] = {id(root): np.ones_like(root.data)}
+        leaves: dict[Tensor, np.ndarray | _Sum] = {}
         for node in reversed(self._nodes):
             g = pending.pop(id(node.out), None)
             if g is None:
                 continue
-            partials = node.vjp(g)
-            for tensor, part in zip(node.inputs, partials):
+            if type(g) is _Sum:
+                g = g.form()
+            for tensor, part in zip(node.inputs, node.vjp(g)):
                 if part is None or not tensor.requires_grad:
                     continue
                 if tensor.node is not None and tensor.node.tape is self:
-                    key = id(tensor.node.out)
-                    if key in pending:
-                        pending[key] = pending[key] + part
-                    else:
-                        pending[key] = np.array(part, dtype=np.float64, copy=True)
+                    _accumulate(pending, id(tensor.node.out), tensor.shape, part)
                 else:
-                    if tensor in leaves:
-                        leaves[tensor] = leaves[tensor] + part
-                    else:
-                        leaves[tensor] = np.array(part, dtype=np.float64, copy=True)
-        return leaves
+                    _accumulate(leaves, tensor, tensor.shape, part)
+        return {t: g.form() if type(g) is _Sum else g for t, g in leaves.items()}
 
 
 def _emit(opname: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
@@ -290,7 +361,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _require(ad.shape[1] == bd.shape[0], "matmul",
                  f"inner dims differ: {ad.shape} @ {bd.shape}")
         return _emit("matmul", ad @ bd, (a, b),
-                     lambda g: (g @ bd.T, ad.T @ g))
+                     lambda g: (g @ bd.T, _Factors(ad, None, g)))
     if ad.ndim == 2 and bd.ndim == 1:
         _require(ad.shape[1] == bd.shape[0], "matmul",
                  f"inner dims differ: {ad.shape} @ {bd.shape}")
@@ -300,7 +371,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _require(ad.shape[0] == bd.shape[0], "matmul",
                  f"inner dims differ: {ad.shape} @ {bd.shape}")
         return _emit("matmul", ad @ bd, (a, b),
-                     lambda g: (bd @ g, np.outer(ad, g)))
+                     lambda g: (bd @ g, _Factors(ad[None], None, g[None])))
     raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
 
 
@@ -370,14 +441,8 @@ def take_rows(x: Tensor, rows) -> Tensor:
     _require(x.ndim in (1, 2), "take_rows", f"expected 1-d or 2-d input, got {x.shape}")
     if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
         raise ShapeError(f"take_rows: index out of range for {x.shape[0]} rows")
-    shape = x.shape
-
-    def vjp(g):
-        out = np.zeros(shape, dtype=np.float64)
-        np.add.at(out, rows, g)
-        return (out,)
-
-    return _emit("take_rows", x.data[rows], (x,), vjp)
+    return _emit("take_rows", x.data[rows], (x,),
+                 lambda g: (_Factors(None, rows, g),))
 
 
 def pick_per_row(x: Tensor, cols) -> Tensor:

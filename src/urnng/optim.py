@@ -15,7 +15,7 @@ from .autodiff import Tensor
 
 
 def global_norm(arrays) -> float:
-    return float(np.sqrt(sum(float((a * a).sum()) for a in arrays)))
+    return float(np.sqrt(sum(float(np.vdot(a, a)) for a in arrays)))
 
 
 class SGD:

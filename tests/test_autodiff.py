@@ -5,10 +5,13 @@ on small random operands, plus targeted tests for the tape, error paths, and
 numeric guards.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import urnng.autodiff as ad
+from urnng import nn
 from urnng.autodiff import (GradCheckReport, NumericError, ShapeError, Tape,
                             Tensor, grad_check)
 
@@ -247,6 +250,104 @@ class TestTapeSemantics:
         with Tape() as tape:
             ad.sum_all(ad.mul(c, c))
         assert len(tape) == 0
+
+    def test_factored_partials_match_explicit_dense_sum(self):
+        # Tied-head pattern: E is gathered by take_rows and multiplied as
+        # transpose(E), so E receives dense, row-scatter and (through the
+        # transpose) outer-product partials.  Enough steps that the factors
+        # outgrow their dense gradient and are folded into it part-way.
+        r = rng()
+        vocab, dim, steps = 40, 6, 12
+        emb = param(r, vocab, dim, name="E")
+        direct = r.standard_normal((vocab, dim))
+        ids = [r.integers(0, vocab, size=3) for _ in range(steps)]
+        heads = [r.standard_normal((3, vocab)) for _ in range(steps)]
+        with Tape() as tape:
+            emb_t = ad.transpose(emb)
+            total = ad.sum_all(ad.mul(emb, Tensor(direct)))
+            for rows, c in zip(ids, heads):
+                logits = ad.matmul(ad.take_rows(emb, rows), emb_t)
+                total = ad.add(total, ad.sum_all(ad.mul(logits, Tensor(c))))
+        got = tape.backward(total)[emb]
+
+        e = emb.data
+        want = direct.copy()
+        for rows, c in zip(ids, heads):
+            want += c.T @ e[rows]
+            scattered = c @ e
+            for j, row in enumerate(rows):
+                want[row] += scattered[j]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3)])
+    def test_duplicate_rows_across_gathers_accumulate(self, shape):
+        r = rng()
+        table = param(r, *shape)
+        ids = [np.array([2, 2, 5]), np.array([5, 0, 2, 2]), np.array([6])]
+        weights = [r.standard_normal((len(i),) + shape[1:]) for i in ids]
+        with Tape() as tape:
+            total = ad.sum_all(ad.concat(
+                [ad.mul(ad.take_rows(table, i), Tensor(w))
+                 for i, w in zip(ids, weights)], axis=0))
+        want = np.zeros(shape)
+        for rows, w in zip(ids, weights):
+            for j, row in enumerate(rows):
+                want[row] += w[j]
+        np.testing.assert_allclose(tape.backward(total)[table], want,
+                                   rtol=1e-12, atol=0)
+
+    def test_shared_weights_recurrent_lstm_grad_check(self):
+        r = rng()
+        x_dim, hidden = 2, 3
+        w = param(r, x_dim + hidden, 4 * hidden, name="w")
+        b = param(r, 4 * hidden, name="b")
+        xs = [param(r, 2, x_dim, name=f"x{t}") for t in range(3)]
+
+        def f():
+            state = (nn.zeros((2, hidden)), nn.zeros((2, hidden)))
+            for x in xs:
+                state = nn.lstm_cell(x, state, w, b)
+            return ad.sum_all(ad.mul(state[0], state[0]))
+
+        assert_grads_ok(f, [w, b] + xs)
+
+    def test_shared_weight_backward_memory_stays_below_twice_the_weight(self):
+        # Per-step weight gradients must not each be materialised and summed
+        # one step at a time: that peaks near three weight-sized arrays.
+        r = rng()
+        w = param(r, 256, 4096, name="w")
+        xs = [Tensor(r.standard_normal((4, 256))) for _ in range(16)]
+        with Tape() as tape:
+            total = ad.sum_all(ad.concat([ad.matmul(x, w) for x in xs], 0))
+        tracemalloc.start()
+        try:
+            grads = tape.backward(total)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(
+            grads[w], sum(x.data.sum(axis=0) for x in xs)[:, None]
+            * np.ones((1, 4096)), rtol=1e-12, atol=1e-12)
+        assert peak < 2 * w.data.nbytes, peak / w.data.nbytes
+
+    def test_long_recurrence_backward_memory_does_not_grow_with_steps(self):
+        # 400 steps hold 400 per-step factor pairs unless they are folded
+        # into the dense sum once they outgrow it; folding needs at most the
+        # dense sum, the product and one copy of the factors (each <= W).
+        r = rng()
+        w = Tensor(0.05 * r.standard_normal((256, 256)), requires_grad=True)
+        h = Tensor(r.standard_normal((4, 256)))
+        with Tape() as tape:
+            for _ in range(400):
+                h = ad.tanh(ad.matmul(h, w))
+            total = ad.sum_all(h)
+        tracemalloc.start()
+        try:
+            tape.backward(total)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * w.data.nbytes, peak / w.data.nbytes
 
 
 class TestErrorPaths:
