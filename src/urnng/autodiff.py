@@ -53,6 +53,7 @@ __all__ = [
     "reshape",
     "scale",
     "sigmoid",
+    "sigmoid_array",
     "softmax",
     "softplus",
     "stack0",
@@ -60,6 +61,7 @@ __all__ = [
     "sum_all",
     "sum_axis",
     "take_rows",
+    "take_steps",
     "tanh",
     "transpose",
 ]
@@ -198,6 +200,10 @@ class _Sum:
         return self.dense
 
 
+def _formed(entry):
+    return entry.form() if type(entry) is _Sum else entry
+
+
 def _accumulate(store: dict, key, shape: tuple, part) -> None:
     # Dense partials stay plain arrays; a tensor's entry becomes a _Sum only
     # once a factored partial arrives for it.
@@ -266,33 +272,41 @@ class Tape:
         pending: dict[int, np.ndarray | _Sum] = {id(root): np.ones_like(root.data)}
         leaves: dict[Tensor, np.ndarray | _Sum] = {}
         for node in reversed(self._nodes):
-            g = pending.pop(id(node.out), None)
-            if g is None:
+            many = type(node.out) is tuple
+            g = [_formed(pending.pop(id(t), None))
+                 for t in (node.out if many else (node.out,))]
+            if all(part is None for part in g):
                 continue
-            if type(g) is _Sum:
-                g = g.form()
-            for tensor, part in zip(node.inputs, node.vjp(g)):
+            for tensor, part in zip(node.inputs,
+                                    node.vjp(tuple(g) if many else g[0])):
                 if part is None or not tensor.requires_grad:
                     continue
                 if tensor.node is not None and tensor.node.tape is self:
-                    _accumulate(pending, id(tensor.node.out), tensor.shape, part)
+                    _accumulate(pending, id(tensor), tensor.shape, part)
                 else:
                     _accumulate(leaves, tensor, tensor.shape, part)
-        return {t: g.form() if type(g) is _Sum else g for t, g in leaves.items()}
+        return {t: _formed(g) for t, g in leaves.items()}
 
 
-def _emit(opname: str, out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+def _emit(opname: str, out_data, inputs: tuple, vjp):
     # Single construction point: finiteness contract + conditional recording.
-    if _check_finite and not np.all(np.isfinite(out_data)):
-        raise NumericError(f"{opname}: non-finite value in output")
+    # A tuple of arrays gives one node with a tuple of outputs; its vjp then
+    # gets one gradient per output, None for an output that received none.
+    many = type(out_data) is tuple
+    arrays = out_data if many else (out_data,)
+    if _check_finite:
+        for a in arrays:
+            if not np.isfinite(a).all():
+                raise NumericError(f"{opname}: non-finite value in output")
     tape = _tape_stack[-1] if _tape_stack else None
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out = Tensor(out_data, requires_grad=True)
-        node = _Node(out, inputs, vjp, tape)
-        out.node = node
+    taped = tape is not None and any(t.requires_grad for t in inputs)
+    outs = tuple(Tensor(a, requires_grad=taped) for a in arrays)
+    if taped:
+        node = _Node(outs if many else outs[0], inputs, vjp, tape)
+        for out in outs:
+            out.node = node
         tape._nodes.append(node)
-        return out
-    return Tensor(out_data)
+    return outs if many else outs[0]
 
 
 def _require(cond: bool, opname: str, detail: str) -> None:
@@ -445,6 +459,22 @@ def take_rows(x: Tensor, rows) -> Tensor:
                  lambda g: (_Factors(None, rows, g),))
 
 
+def take_steps(values: np.ndarray, steps: dict, idx: np.ndarray,
+               rows: np.ndarray) -> Tensor:
+    """``values``, whose row r is row ``rows[r]`` of ``steps[idx[r]]``.
+
+    One node serves every row: its vjp sends each of those step Tensors
+    the gradient of its own rows.  Steps missing from ``steps`` get none.
+    """
+    taped = [s for s in np.unique(idx).tolist() if s in steps]
+
+    def vjp(g):
+        picks = (idx == s for s in taped)
+        return tuple(_Factors(None, rows[m], g[m]) for m in picks)
+
+    return _emit("take_steps", values, tuple(steps[s] for s in taped), vjp)
+
+
 def pick_per_row(x: Tensor, cols) -> Tensor:
     """Select one entry per row of a matrix: ``out[i] = x[i, cols[i]]``."""
     cols = np.asarray(cols, dtype=np.int64)
@@ -483,11 +513,15 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
 # Nonlinearities
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function of a plain array, stable in both tails: exp of a
+    non-positive argument only."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # Stable in both tails: exp of a non-positive argument only.
-    xd = x.data
-    out = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
-                   np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    out = sigmoid_array(x.data)
     return _emit("sigmoid", out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -519,8 +553,7 @@ def softplus(x: Tensor) -> Tensor:
     # log(1 + e^x) without overflow: max(x, 0) + log1p(e^{-|x|}).
     xd = x.data
     out = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
-    sig = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
-                   np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    sig = sigmoid_array(xd)
     return _emit("softplus", out, (x,), lambda g: (g * sig,))
 
 

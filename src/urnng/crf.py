@@ -295,7 +295,6 @@ class InferenceNetwork:
                                   name="inf.ln_bias")
         p["inf.mlp_w2"] = nn.make_param(rng, "inf.mlp_w2", (mlp_hidden, 1),
                                         init_scale)
-        p["inf.mlp_b2"] = nn.make_param(rng, "inf.mlp_b2", (1,), init_scale)
         self.params = p
 
     def parameters(self) -> dict[str, Tensor]:
@@ -358,7 +357,9 @@ class InferenceNetwork:
         h = ad.relu(nn.linear(sheet, p["inf.mlp_w1"], p["inf.mlp_b1"]))
         h = ad.layer_norm(h, p["inf.ln_gain"], p["inf.ln_bias"])
         h = ad.dropout(h, self.dropout, rng)
-        out = nn.linear(h, p["inf.mlp_w2"], p["inf.mlp_b2"])  # [P*B, 1]
+        # no output bias: it would add one constant to every span, which
+        # no tree distribution can see, so its gradient is exactly zero
+        out = ad.matmul(h, p["inf.mlp_w2"])  # [P*B, 1]
         n_spans = len(span_order(t))
         flat = ad.transpose(ad.reshape(out, (n_spans, batch)))
         return SpanScores(t, flat)

@@ -49,26 +49,40 @@ def iw_log_marginal(model: GenerativeModel, inference: InferenceNetwork,
     rng = rng if rng is not None else np.random.default_rng(0)
     ids = np.asarray(ids, dtype=np.int64)
     chart = inside(flatten(inference.span_scores(ids[None]), temperature))
-    seen: dict[TreeRepr, list] = {}
-    for _ in range(k):
-        tree, log_q = sample_tree(chart, rng, 0)
-        if not np.isfinite(log_q):
-            raise NumericError("proposal assigned a sampled tree -inf log q")
-        entry = seen.setdefault(tree, [0, log_q])
-        entry[0] += 1
-    distinct = list(seen)
-    terms = np.empty(len(distinct))
-    for lo in range(0, len(distinct), 256):
-        chunk = distinct[lo:lo + 256]
-        acts = np.array([tree.actions for tree in chunk], dtype=np.int64)
-        terminal, action = model.joint_log_likelihood_batch(
-            np.tile(ids[None], (len(chunk), 1)), acts)
-        joint = terminal.data + action.data
-        for offset, tree in enumerate(chunk):
-            count, log_q = seen[tree]
-            terms[lo + offset] = joint[offset] - log_q + math.log(count)
+    terminal, action, which, log_qs = _sampled_joints(model, ids, chart,
+                                                      rng, k)
+    if not np.all(np.isfinite(log_qs)):
+        raise NumericError("proposal assigned a sampled tree -inf log q")
+    first = np.unique(which, return_index=True)[1]
+    log_counts = [math.log(count) for count in np.bincount(which)]
+    terms = terminal + action - log_qs[first] + log_counts
     top = terms.max()
     return float(top + np.log(np.exp(terms - top).sum()) - math.log(k))
+
+
+def _sampled_joints(model: GenerativeModel, ids: np.ndarray, chart,
+                    rng: np.random.Generator, k: int):
+    """Draw k trees from row 0 of ``chart`` and score each distinct tree
+    once, in eval mode and 256 rows at a time.
+
+    Returns the distinct trees' terminal and action log-likelihoods (in
+    order of first draw), which of them each draw is, and each draw's log q.
+    """
+    index: dict[TreeRepr, int] = {}
+    which, log_qs = np.empty(k, dtype=np.int64), np.empty(k)
+    for s in range(k):
+        tree, log_qs[s] = sample_tree(chart, rng, 0)
+        which[s] = index.setdefault(tree, len(index))
+    trees = list(index)
+    terminal, action = np.empty(len(trees)), np.empty(len(trees))
+    for lo in range(0, len(trees), 256):
+        chunk = trees[lo:lo + 256]
+        acts = np.array([tree.actions for tree in chunk], dtype=np.int64)
+        term_t, act_t = model.joint_log_likelihood_batch(
+            np.tile(ids[None], (len(chunk), 1)), acts)
+        terminal[lo:lo + len(chunk)] = term_t.data
+        action[lo:lo + len(chunk)] = act_t.data
+    return terminal, action, which, log_qs
 
 
 def iw_perplexity(sentences: list[Sentence], model: GenerativeModel,
@@ -273,22 +287,11 @@ def distributional_metrics(sentences: list[Sentence],
         chart = inside(inference.span_scores(ids[None]))
         post_sum += float(tree_entropy(chart).data[0])
         uniform_sum += math.log(count_trees(len(ids)))
-        trees, log_qs = [], np.empty(k)
-        for s in range(k):
-            tree, log_q = sample_tree(chart, rng, 0)
-            trees.append(tree)
-            log_qs[s] = log_q
-        terminal = np.empty(k)
-        action = np.empty(k)
-        for lo in range(0, k, 256):
-            chunk = trees[lo:lo + 256]
-            acts = np.array([t.actions for t in chunk], dtype=np.int64)
-            term_t, act_t = model.joint_log_likelihood_batch(
-                np.tile(ids[None], (len(chunk), 1)), acts)
-            terminal[lo:lo + len(chunk)] = term_t.data
-            action[lo:lo + len(chunk)] = act_t.data
-        recon_sum += float(terminal.mean())
-        kl_sum += float((log_qs - action).mean())
+        # each distinct tree is scored once, and the means run over all k
+        terminal, action, which, log_qs = _sampled_joints(model, ids, chart,
+                                                          rng, k)
+        recon_sum += float(terminal[which].mean())
+        kl_sum += float((log_qs - action[which]).mean())
         _, prior_lp = model.sample_actions_conditional(ids, k, rng)
         prior_sum += float(-prior_lp.mean())
         tokens += len(ids)

@@ -36,15 +36,7 @@ def lstm_cell(x: Tensor, state: tuple[Tensor, Tensor], w: Tensor,
               b: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step.  ``w`` is [(x_dim + hidden), 4 * hidden], gates i,f,o,g."""
     h_prev, c_prev = state
-    hidden = h_prev.shape[-1]
-    z = linear(ad.concat([x, h_prev], axis=1), w, b)
-    i = ad.sigmoid(ad.narrow(z, 1, 0, hidden))
-    f = ad.sigmoid(ad.narrow(z, 1, hidden, hidden))
-    o = ad.sigmoid(ad.narrow(z, 1, 2 * hidden, hidden))
-    g = ad.tanh(ad.narrow(z, 1, 3 * hidden, hidden))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
+    return _gates(linear(ad.concat([x, h_prev], axis=1), w, b), (c_prev,))
 
 
 def tree_cell(left: tuple[Tensor, Tensor], right: tuple[Tensor, Tensor],
@@ -55,15 +47,38 @@ def tree_cell(left: tuple[Tensor, Tensor], right: tuple[Tensor, Tensor],
     The output depends on child order, so mirrored children compose to
     different vectors.
     """
-    hl, cl = left
-    hr, cr = right
-    dim = hl.shape[-1]
-    z = linear(ad.concat([hl, hr], axis=1), w, b)
-    i = ad.sigmoid(ad.narrow(z, 1, 0, dim))
-    fl = ad.sigmoid(ad.narrow(z, 1, dim, dim))
-    fr = ad.sigmoid(ad.narrow(z, 1, 2 * dim, dim))
-    o = ad.sigmoid(ad.narrow(z, 1, 3 * dim, dim))
-    g = ad.tanh(ad.narrow(z, 1, 4 * dim, dim))
-    c = ad.add(ad.add(ad.mul(fl, cl), ad.mul(fr, cr)), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
+    (hl, cl), (hr, cr) = left, right
+    return _gates(linear(ad.concat([hl, hr], axis=1), w, b), (cl, cr))
+
+
+def _gates(z: Tensor, cells: tuple[Tensor, ...]) -> tuple[Tensor, Tensor]:
+    """(h, c) from the pre-activations ``z`` of a cell, as one primitive.
+
+    ``z`` holds the gates i, one forget gate f_k per previous cell state
+    ``cells[k]``, o and g.  Then c = f_1 c_1 + ... + i g and h = o tanh(c),
+    with the same elementwise ops in the same order as a composition of
+    single primitives, so the values match that composition to the bit.
+    """
+    d = cells[0].shape[-1]
+    split = (len(cells) + 2) * d
+    sig = ad.sigmoid_array(z.data[:, :split])       # i, f_1 .. f_k, o
+    g = np.tanh(z.data[:, split:])
+    i, o = sig[:, :d], sig[:, split - d:]
+    forget = [sig[:, k * d:(k + 1) * d] for k in range(1, len(cells) + 1)]
+    prev = [cell.data for cell in cells]
+    c = forget[0] * prev[0]
+    for f, cell in zip(forget[1:], prev[1:]):
+        c = c + f * cell
+    c = c + i * g
+    tanh_c = np.tanh(c)
+
+    def vjp(grads):
+        gh, gc = (0.0 if grad is None else grad for grad in grads)
+        dc = gc + gh * o * (1.0 - tanh_c * tanh_c)
+        dsig = np.concatenate([dc * g, *(dc * cell for cell in prev),
+                               gh * tanh_c], axis=1)
+        dz = np.concatenate([dsig * sig * (1.0 - sig),
+                             dc * i * (1.0 - g * g)], axis=1)
+        return (dz, *(dc * f for f in forget))
+
+    return ad._emit("cell_gates", (o * tanh_c, c), (z, *cells), vjp)

@@ -19,8 +19,9 @@ whose word is the EOS token, scored by the same word head.
 
 Scoring runs many rows in lockstep: every action pushes exactly one element,
 so the stack top after step t-1 is always the element pushed at step t-1, and
-one LSTM step per layer serves all rows at once.  Only REDUCE rows need
-row-wise gathers (their below-top state and the two children).
+one LSTM step per layer serves all rows at once.  The stack state is arrays
+indexed by stack position, so the state below each row's new element and the
+two children of every REDUCE row are each read with one index op.
 """
 
 from __future__ import annotations
@@ -35,62 +36,56 @@ from .autodiff import Tensor
 from .treebank import REDUCE, SHIFT, TreeRepr, actions_to_tree
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+class _Slots:
+    """An (h, c) pair for every stack position of every row, as two arrays
+    [depth + 1, n, dim]; position 0 holds the zero pair under every stack.
+    For the tape, ``steps`` maps a step to each Tensor it wrote, if taped.
+    """
+
+    def __init__(self, depth: int, n_rows: int, dim: int):
+        self.data = np.zeros((2, depth + 1, n_rows, dim))
+        self.steps: tuple[dict, dict] = ({}, {})
+
+    def write(self, step: int, pos: np.ndarray, rows: np.ndarray,
+              pair: tuple[Tensor, Tensor]) -> None:
+        """Store row r of each tensor of ``pair`` at position pos[r]."""
+        for data, steps, tensor in zip(self.data, self.steps, pair):
+            data[pos, rows] = tensor.data
+            if tensor.requires_grad:
+                steps[step] = tensor
+
+    def read(self, pos: np.ndarray, rows: np.ndarray,
+             written: np.ndarray) -> tuple[Tensor, Tensor]:
+        """The pairs at (pos[r], rows[r]), which step written[r] wrote."""
+        return tuple(ad.take_steps(data[pos, rows], steps, written, rows)
+                     if steps else Tensor(data[pos, rows])
+                     for data, steps in zip(self.data, self.steps))
 
 
 class _Stepper:
-    """Lockstep shift/reduce execution over n rows, one push per step."""
+    """Lockstep shift/reduce execution over n rows, one push per step.
+
+    The stack state is arrays indexed by stack position: each layer's LSTM
+    state after pushing the element there, and that element's content
+    (h, c).  ``stack[r, p]`` is the step that pushed row r's element at
+    position p, which routes gradients on a tape.  Reading the state below
+    the top or the two children is one index op for all rows.
+    """
 
     def __init__(self, model: "GenerativeModel", n_rows: int,
-                 rng: np.random.Generator | None):
+                 rng: np.random.Generator | None, depth: int):
         self.model = model
         self.n = n_rows
         self.rng = rng
         dim = model.dim
-        zero = nn.zeros((n_rows, dim))
-        # states_h[layer][step] is the [n, dim] hidden written at that step
-        self.states_h = [[zero] for _ in range(model.layers)]
-        self.states_c = [[zero] for _ in range(model.layers)]
-        self._zero_row = nn.zeros((1, dim))
-        guard = ((self._zero_row, 0), (self._zero_row, 0))
-        # each stack element: (push_step, (h_ref, c_ref)) where a ref is
-        # (tensor, row) into some per-step tensor
-        self.stacks: list[list] = [[(0, guard)] for _ in range(n_rows)]
+        self.state = [_Slots(depth, n_rows, dim) for _ in range(model.layers)]
+        self.content = _Slots(depth, n_rows, dim)
+        self.stack = np.zeros((n_rows, depth + 1), dtype=np.int64)
         self.depth = np.zeros(n_rows, dtype=np.int64)
         self.words_used = np.zeros(n_rows, dtype=np.int64)
+        self.rows = np.arange(n_rows)
+        self.top = nn.zeros((n_rows, dim))  # the stack tops' hidden state
         self.t = 0
-
-    def _gather(self, refs) -> Tensor:
-        groups: dict[int, list] = {}
-        order = []
-        for pos, (tensor, row) in enumerate(refs):
-            g = groups.get(id(tensor))
-            if g is None:
-                g = [tensor, [], []]
-                groups[id(tensor)] = g
-                order.append(g)
-            g[1].append(row)
-            g[2].append(pos)
-        if len(order) == 1:
-            tensor, rows, _ = order[0]
-            if rows == list(range(tensor.shape[0])):
-                return tensor
-            return ad.take_rows(tensor, rows)
-        parts = [ad.take_rows(tensor, rows) for tensor, rows, _ in order]
-        stacked = ad.concat(parts, axis=0)
-        inverse = np.empty(len(refs), dtype=np.int64)
-        k = 0
-        for _, rows, positions in order:
-            for p in positions:
-                inverse[p] = k
-                k += 1
-        return ad.take_rows(stacked, inverse)
-
-    def top_hidden(self) -> Tensor:
-        """Hidden state of every row's stack top, shape [n, dim]."""
-        return self.states_h[-1][self.t]
 
     def step(self, actions: np.ndarray, word_ids: np.ndarray | None) -> None:
         """Advance every row one action; ``word_ids[r]`` is read on SHIFT rows."""
@@ -98,66 +93,63 @@ class _Stepper:
         p = model.params
         shift_rows = np.flatnonzero(actions == SHIFT)
         reduce_rows = np.flatnonzero(actions == REDUCE)
-        if np.any(self.depth[reduce_rows] < 2):
-            bad = reduce_rows[self.depth[reduce_rows] < 2][0]
+        depth = self.depth[reduce_rows]
+        if np.any(depth < 2):
+            bad = reduce_rows[depth < 2][0]
             raise ValueError(
                 f"row {bad}: REDUCE with stack depth {self.depth[bad]}")
 
-        composed = None
+        composed = (None, None)
         if reduce_rows.size:
-            left_h, left_c, right_h, right_c = [], [], [], []
-            for r in reduce_rows:
-                (_, (lh, lc)), (_, (rh, rc)) = self.stacks[r][-2], self.stacks[r][-1]
-                left_h.append(lh)
-                left_c.append(lc)
-                right_h.append(rh)
-                right_c.append(rc)
-            composed = nn.tree_cell(
-                (self._gather(left_h), self._gather(left_c)),
-                (self._gather(right_h), self._gather(right_c)),
-                p["gen.tree_w"], p["gen.tree_b"])
+            def child(pos):
+                return self.content.read(pos, reduce_rows,
+                                         self.stack[reduce_rows, pos])
+            composed = nn.tree_cell(child(depth - 1), child(depth),
+                                    p["gen.tree_w"], p["gen.tree_b"])
 
-        embedded = None
+        embedded = blank = None
         if shift_rows.size:
             if word_ids is None:
                 raise ValueError("SHIFT rows present but no word ids given")
             embedded = ad.take_rows(p["emb"], word_ids[shift_rows])
+            blank = nn.zeros((shift_rows.size, model.dim))
 
-        x_refs = [None] * self.n
-        for i, r in enumerate(shift_rows):
-            x_refs[r] = (embedded, i)
-        for i, r in enumerate(reduce_rows):
-            x_refs[r] = (composed[0], i)
-        x = ad.dropout(self._gather(x_refs), model.dropout, self.rng)
-
-        # the LSTM state beneath the new push: current top for SHIFT, the
-        # element under the two popped children for REDUCE
-        below = np.full(self.n, self.t, dtype=np.int64)
-        for r in reduce_rows:
-            below[r] = self.stacks[r][-3][0]
-        inp = x
-        for layer in range(model.layers):
-            h_refs = [(self.states_h[layer][below[r]], r) for r in range(self.n)]
-            c_refs = [(self.states_c[layer][below[r]], r) for r in range(self.n)]
-            state = (self._gather(h_refs), self._gather(c_refs))
-            h, c = nn.lstm_cell(inp, state, p[f"gen.lstm_w{layer}"],
-                                p[f"gen.lstm_b{layer}"])
-            self.states_h[layer].append(h)
-            self.states_c[layer].append(c)
-            if layer + 1 < model.layers:
-                inp = ad.dropout(h, model.dropout, self.rng)
-
-        step_id = self.t + 1
-        for i, r in enumerate(shift_rows):
-            ref = ((embedded, i), (self._zero_row, 0))
-            self.stacks[r].append((step_id, ref))
-        for i, r in enumerate(reduce_rows):
-            ref = ((composed[0], i), (composed[1], i))
-            self.stacks[r][-2:] = [(step_id, ref)]
+        self.t += 1
         self.depth[shift_rows] += 1
         self.depth[reduce_rows] -= 1
+        top, below = self.depth, self.depth - 1
+        # the LSTM state beneath the new push: the old top for SHIFT, the
+        # element under the two popped children for REDUCE
+        below_steps = self.stack[self.rows, below]
+        self.stack[self.rows, top] = self.t
+
+        # the pushed element: the word for SHIFT rows (its cell state is
+        # zero), the composition for REDUCE rows
+        order = np.empty(self.n, dtype=np.int64)
+        order[np.concatenate([shift_rows, reduce_rows])] = self.rows
+        pushed = _merge(embedded, composed[0], order)
+        self.content.write(self.t, top, self.rows,
+                           (pushed, _merge(blank, composed[1], order)))
+        inp = ad.dropout(pushed, model.dropout, self.rng)
+        for layer in range(model.layers):
+            state = self.state[layer].read(below, self.rows, below_steps)
+            h, c = nn.lstm_cell(inp, state, p[f"gen.lstm_w{layer}"],
+                                p[f"gen.lstm_b{layer}"])
+            self.state[layer].write(self.t, top, self.rows, (h, c))
+            if layer + 1 < model.layers:
+                inp = ad.dropout(h, model.dropout, self.rng)
+        self.top = h
         self.words_used[shift_rows] += 1
-        self.t = step_id
+
+
+def _merge(shifted: Tensor | None, reduced: Tensor | None,
+           order: np.ndarray) -> Tensor:
+    """Rows of ``shifted`` then ``reduced``, put back in row order."""
+    if reduced is None:
+        return shifted
+    if shifted is None:
+        return reduced
+    return ad.take_rows(ad.concat([shifted, reduced], axis=0), order)
 
 
 @dataclass
@@ -235,14 +227,14 @@ class GenerativeModel:
 
         p = self.params
         emb_t = ad.transpose(p["emb"])
-        stepper = _Stepper(self, n, rng)
+        stepper = _Stepper(self, n, rng, t_len)
         zero_one = Tensor(np.zeros(1))
         action_terms = []
         word_terms = []
         for step in range(steps):
             acts = actions[:, step]
             free = (stepper.depth >= 2) & (stepper.words_used < t_len)
-            context = ad.dropout(stepper.top_hidden(), self.dropout, rng)
+            context = ad.dropout(stepper.top, self.dropout, rng)
             if free.any():
                 logits = ad.add_broadcast(
                     ad.matmul(context, p["gen.action_w"]), p["gen.action_b"])
@@ -265,7 +257,7 @@ class GenerativeModel:
             word_col = ids[np.arange(n), stepper.words_used % t_len]
             stepper.step(acts, word_col)
 
-        context = ad.dropout(stepper.top_hidden(), self.dropout, rng)
+        context = ad.dropout(stepper.top, self.dropout, rng)
         logp = ad.log_softmax(
             ad.add_row(ad.matmul(context, emb_t), p["gen.word_b"]), axis=1)
         word_terms.append(
@@ -305,25 +297,21 @@ class GenerativeModel:
         t_len = ids.shape[0]
         steps = 2 * t_len - 1
         p = self.params
-        stepper = _Stepper(self, k, None)
+        stepper = _Stepper(self, k, None, t_len)
         actions = np.zeros((k, steps), dtype=np.int64)
         logprob = np.zeros(k)
         for step in range(steps):
-            hidden = stepper.top_hidden().data
+            hidden = stepper.top.data
             logits = hidden @ p["gen.action_w"].data + p["gen.action_b"].data[0]
-            p_reduce = _sigmoid(logits)
+            p_reduce = ad.sigmoid_array(logits)
             must_shift = stepper.depth < 2
             must_reduce = stepper.words_used >= t_len
             draw = rng.random(k) < p_reduce
-            acts = np.where(must_shift, SHIFT,
-                            np.where(must_reduce, REDUCE,
-                                     np.where(draw, REDUCE, SHIFT)))
-            free = ~(must_shift | must_reduce)
-            chose_reduce = acts == REDUCE
+            acts = np.where(~must_shift & (must_reduce | draw), REDUCE, SHIFT)
             with np.errstate(divide="ignore"):
-                term = np.where(chose_reduce, np.log(p_reduce),
+                term = np.where(acts == REDUCE, np.log(p_reduce),
                                 np.log1p(-p_reduce))
-            logprob += np.where(free, term, 0.0)
+            logprob += np.where(must_shift | must_reduce, 0.0, term)
             actions[:, step] = acts
             stepper.step(acts, ids[stepper.words_used % t_len])
         return actions, logprob
@@ -341,7 +329,7 @@ class GenerativeModel:
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         p = self.params
-        stepper = _Stepper(self, 1, None)
+        stepper = _Stepper(self, 1, None, max_len)
         emb_t = p["emb"].data.T
         ids: list[int] = []
         actions: list[int] = []
@@ -349,11 +337,11 @@ class GenerativeModel:
         truncated = False
         eos_at_root = False
         while True:
-            hidden = stepper.top_hidden().data[0]
+            hidden = stepper.top.data[0]
             logit = hidden @ p["gen.action_w"].data + p["gen.action_b"].data[0]
-            p_reduce = float(_sigmoid(logit))
+            p_reduce = float(ad.sigmoid_array(logit))
             can_reduce = stepper.depth[0] >= 2
-            if can_reduce and len(ids) >= max_len:
+            if len(ids) >= max_len:
                 truncated = True
                 break
             if can_reduce and rng.random() < p_reduce:
@@ -363,9 +351,6 @@ class GenerativeModel:
                 continue
             if can_reduce:
                 total += np.log1p(-p_reduce)
-            if len(ids) >= max_len:
-                truncated = True
-                break
             word_logits = hidden @ emb_t + p["gen.word_b"].data
             word_logits -= word_logits.max()
             probs = np.exp(word_logits)
@@ -434,16 +419,12 @@ class RNNLM:
                       else np.full(n, self.eos_id, dtype=np.int64))
             terms.append(ad.pick_per_row(logp, target))
             if pos < t_len:
-                x = ad.dropout(ad.take_rows(p["emb"], ids[:, pos]),
-                               self.dropout, rng)
-                new_states = []
-                inp = x
+                inp = ad.dropout(ad.take_rows(p["emb"], ids[:, pos]),
+                                 self.dropout, rng)
                 for layer in range(self.layers):
-                    h, c = nn.lstm_cell(inp, states[layer],
-                                        p[f"lm.lstm_w{layer}"],
-                                        p[f"lm.lstm_b{layer}"])
-                    new_states.append((h, c))
+                    states[layer] = nn.lstm_cell(inp, states[layer],
+                                                 p[f"lm.lstm_w{layer}"],
+                                                 p[f"lm.lstm_b{layer}"])
                     if layer + 1 < self.layers:
-                        inp = ad.dropout(h, self.dropout, rng)
-                states = new_states
+                        inp = ad.dropout(states[layer][0], self.dropout, rng)
         return ad.sum_axis(ad.stack0(terms), 0)

@@ -396,3 +396,32 @@ class TestErrorPaths:
         report = grad_check(lambda: ad.sum_all(ad.tanh(x)), [x])
         assert isinstance(report, GradCheckReport)
         assert report and report.max_rel_err < 1e-4
+
+
+class TestSharedHelpers:
+    def test_sigmoid_array_matches_three_exp_form_bitwise(self):
+        x = np.concatenate([np.random.default_rng(0).standard_normal(2000) * 8,
+                            [-800.0, -40.0, -0.0, 0.0, 40.0, 800.0]])
+        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        np.testing.assert_array_equal(ad.sigmoid_array(x), old)
+        np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, old)
+
+    def test_take_steps_routes_each_row_to_its_step(self):
+        r = rng()
+        steps = {s: param(r, 5, 3, name=f"s{s}") for s in (1, 2, 4)}
+        untaped = Tensor(r.standard_normal((5, 3)))
+        table = {**{s: t.data for s, t in steps.items()}, 3: untaped.data}
+        idx = np.array([4, 1, 3, 4, 2, 1])
+        rows = np.array([0, 0, 2, 3, 4, 4])
+        weights = Tensor(r.standard_normal((6, 3)))
+
+        def f():
+            values = np.stack([table[s][row] for s, row in zip(idx, rows)])
+            out = ad.take_steps(values, steps, idx, rows)
+            return ad.sum_all(ad.mul(ad.tanh(out), weights))
+
+        with Tape() as tape:
+            f()
+        assert len(tape) == 4
+        assert_grads_ok(f, list(steps.values()))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from urnng import evaluate, oracle
-from urnng.crf import SpanScores, flatten
+from urnng.crf import SpanScores, flatten, inside, sample_tree
 from urnng.evaluate import (EvalReport, bracket_multiset,
                             distributional_metrics, evaluate_corpus,
                             iw_log_marginal, iw_perplexity, label_recall,
@@ -331,6 +331,30 @@ class TestDistributionalMetrics:
                                      k=50, seed=7)
         assert np.isfinite(out["reconstruction_perplexity"])
         assert out["reconstruction_perplexity"] > 1.0
+
+
+    def test_diagnostics_average_every_draw(self):
+        # repeated trees are scored once, but reconstruction and KL still
+        # average over all k draws, each draw scored on its own here
+        model, net = tiny_models(seed=17)
+        sentences = [sentence_of([2, 5, 3, 4]), sentence_of([6, 2, 7])]
+        k, seed = 60, 4
+        recon = kl = 0.0
+        for i, s in enumerate(sentences):
+            rng = np.random.default_rng((seed, 7000 + i))
+            chart = inside(net.span_scores(np.array([s.ids])))
+            draws = [sample_tree(chart, rng, 0) for _ in range(k)]
+            assert len({tree for tree, _ in draws}) < k
+            scores = [model.joint_log_likelihood(s.ids, tree)
+                      for tree, _ in draws]
+            recon += np.mean([terminal for terminal, _ in scores])
+            kl += np.mean([log_q - action
+                           for (_, log_q), (_, action) in zip(draws, scores)])
+        got = distributional_metrics(sentences, model, net, k=k, seed=seed)
+        tokens = sum(len(s.ids) for s in sentences)
+        assert got["reconstruction_perplexity"] == pytest.approx(
+            math.exp(-recon / tokens), rel=1e-12)
+        assert got["kl"] == pytest.approx(kl / len(sentences), rel=1e-12)
 
 
 class TestPplByLength:

@@ -1,0 +1,164 @@
+"""The fused LSTM and tree-LSTM cells against the op-by-op composition.
+
+``nn.lstm_cell`` and ``nn.tree_cell`` record concat, matmul and add_row and
+then one primitive for the gates and the state update.  The compositions
+below build the same cells from single primitives; the fused forward must
+match them bit for bit, and its hand-written vjp must pass ``grad_check``.
+"""
+
+import numpy as np
+import pytest
+
+import urnng.autodiff as ad
+from urnng import nn
+from urnng.autodiff import Tape, Tensor, grad_check
+
+
+def unfused_lstm_cell(x, state, w, b):
+    h_prev, c_prev = state
+    hidden = h_prev.shape[-1]
+    z = nn.linear(ad.concat([x, h_prev], axis=1), w, b)
+    i = ad.sigmoid(ad.narrow(z, 1, 0, hidden))
+    f = ad.sigmoid(ad.narrow(z, 1, hidden, hidden))
+    o = ad.sigmoid(ad.narrow(z, 1, 2 * hidden, hidden))
+    g = ad.tanh(ad.narrow(z, 1, 3 * hidden, hidden))
+    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    h = ad.mul(o, ad.tanh(c))
+    return h, c
+
+
+def unfused_tree_cell(left, right, w, b):
+    hl, cl = left
+    hr, cr = right
+    dim = hl.shape[-1]
+    z = nn.linear(ad.concat([hl, hr], axis=1), w, b)
+    i = ad.sigmoid(ad.narrow(z, 1, 0, dim))
+    fl = ad.sigmoid(ad.narrow(z, 1, dim, dim))
+    fr = ad.sigmoid(ad.narrow(z, 1, 2 * dim, dim))
+    o = ad.sigmoid(ad.narrow(z, 1, 3 * dim, dim))
+    g = ad.tanh(ad.narrow(z, 1, 4 * dim, dim))
+    c = ad.add(ad.add(ad.mul(fl, cl), ad.mul(fr, cr)), ad.mul(i, g))
+    h = ad.mul(o, ad.tanh(c))
+    return h, c
+
+
+def param(r, *shape, name="p", scale=1.0):
+    return Tensor(scale * r.standard_normal(shape), requires_grad=True,
+                  name=name)
+
+
+def lstm_inputs(r, n, x_dim, hidden, scale=1.0):
+    return (param(r, n, x_dim, name="x", scale=scale),
+            (param(r, n, hidden, name="h", scale=scale),
+             param(r, n, hidden, name="c", scale=scale)),
+            param(r, x_dim + hidden, 4 * hidden, name="w", scale=scale),
+            param(r, 4 * hidden, name="b", scale=scale))
+
+
+def tree_inputs(r, n, dim, scale=1.0):
+    return ((param(r, n, dim, name="hl", scale=scale),
+             param(r, n, dim, name="cl", scale=scale)),
+            (param(r, n, dim, name="hr", scale=scale),
+             param(r, n, dim, name="cr", scale=scale)),
+            param(r, 2 * dim, 5 * dim, name="w", scale=scale),
+            param(r, 5 * dim, name="b", scale=scale))
+
+
+SHAPES = [(1, 3, 2), (5, 7, 4), (33, 64, 64), (2, 650, 650)]
+
+
+class TestForwardBitIdentity:
+    @pytest.mark.parametrize("n,x_dim,hidden", SHAPES)
+    @pytest.mark.parametrize("scale", [0.1, 3.0])
+    def test_lstm_cell(self, n, x_dim, hidden, scale):
+        x, state, w, b = lstm_inputs(np.random.default_rng(n), n, x_dim,
+                                     hidden, scale)
+        for got, want in zip(nn.lstm_cell(x, state, w, b),
+                             unfused_lstm_cell(x, state, w, b)):
+            np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("n,_,dim", SHAPES)
+    @pytest.mark.parametrize("scale", [0.1, 3.0])
+    def test_tree_cell(self, n, _, dim, scale):
+        left, right, w, b = tree_inputs(np.random.default_rng(n), n, dim,
+                                        scale)
+        for got, want in zip(nn.tree_cell(left, right, w, b),
+                             unfused_tree_cell(left, right, w, b)):
+            np.testing.assert_array_equal(got.data, want.data)
+
+    def test_recurrence_stays_identical(self):
+        r = np.random.default_rng(3)
+        x_dim, hidden = 6, 5
+        w, b = param(r, x_dim + hidden, 4 * hidden), param(r, 4 * hidden)
+        xs = [Tensor(r.standard_normal((4, x_dim))) for _ in range(12)]
+        fused = unfused = (nn.zeros((4, hidden)), nn.zeros((4, hidden)))
+        for x in xs:
+            fused = nn.lstm_cell(x, fused, w, b)
+            unfused = unfused_lstm_cell(x, unfused, w, b)
+        np.testing.assert_array_equal(fused[0].data, unfused[0].data)
+        np.testing.assert_array_equal(fused[1].data, unfused[1].data)
+
+
+class TestGradients:
+    def test_lstm_cell_grad_check(self):
+        x, state, w, b = lstm_inputs(np.random.default_rng(4), 3, 2, 3)
+
+        def f():
+            h, c = nn.lstm_cell(x, state, w, b)
+            return ad.add(ad.sum_all(ad.mul(h, h)), ad.sum_all(ad.mul(c, c)))
+
+        report = grad_check(f, [x, *state, w, b])
+        assert report.passed, report
+
+    def test_tree_cell_grad_check(self):
+        left, right, w, b = tree_inputs(np.random.default_rng(5), 3, 2)
+
+        def f():
+            h, c = nn.tree_cell(left, right, w, b)
+            return ad.add(ad.sum_all(ad.mul(h, h)), ad.sum_all(ad.mul(c, c)))
+
+        report = grad_check(f, [*left, *right, w, b])
+        assert report.passed, report
+
+    @pytest.mark.parametrize("used", [0, 1])
+    def test_one_output_unused(self, used):
+        # the output that receives no gradient is treated as zero
+        x, state, w, b = lstm_inputs(np.random.default_rng(6), 2, 3, 2)
+
+        def f():
+            return ad.sum_all(nn.lstm_cell(x, state, w, b)[used])
+
+        report = grad_check(f, [x, *state, w, b])
+        assert report.passed, report
+
+    def test_gradients_match_unfused(self):
+        left, right, w, b = tree_inputs(np.random.default_rng(7), 4, 3)
+        leaves = [*left, *right, w, b]
+        weights = [Tensor(np.random.default_rng(8).standard_normal((4, 3)))
+                   for _ in range(2)]
+
+        def grads(cell):
+            with Tape() as tape:
+                h, c = cell(left, right, w, b)
+                root = ad.add(ad.sum_all(ad.mul(h, weights[0])),
+                              ad.sum_all(ad.mul(c, weights[1])))
+            g = tape.backward(root)
+            return [g[p] for p in leaves]
+
+        for got, want in zip(grads(nn.tree_cell), grads(unfused_tree_cell)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+class TestTape:
+    def test_cell_records_four_nodes(self):
+        # concat, matmul and add_row stay separate, then one gates node
+        x, state, w, b = lstm_inputs(np.random.default_rng(9), 2, 3, 2)
+        with Tape() as tape:
+            h, c = nn.lstm_cell(x, state, w, b)
+        assert len(tape) == 4
+        assert h.node is c.node
+
+    def test_untaped_outputs_are_plain(self):
+        x, state, w, b = lstm_inputs(np.random.default_rng(10), 2, 3, 2)
+        h, c = nn.lstm_cell(x, state, w, b)
+        assert h.node is None and c.node is None

@@ -317,3 +317,106 @@ class TestRNNLM:
         report = grad_check(
             lambda: ad.sum_all(lm.log_likelihood_batch(ids)), params)
         assert report.passed, report
+
+
+class TestArrayStack:
+    """The stack state is arrays indexed by stack position; these pin its
+    tape size, its per-row routing and the draws it feeds."""
+
+    @staticmethod
+    def tape_nodes(model, ids, acts):
+        with Tape() as tape:
+            model.joint_log_likelihood_batch(ids, acts,
+                                             rng=np.random.default_rng(0))
+        return len(tape)
+
+    def test_tape_nodes_do_not_grow_with_rows(self):
+        model = tiny_model(seed=32, vocab=20, dim=4, dropout=0.0)
+        rng = np.random.default_rng(33)
+        tree = random_tree(12, rng)
+        ids = rng.integers(2, 20, size=(64, 12))
+        one = self.tape_nodes(model, ids[:1], np.array([tree.actions]))
+        many = self.tape_nodes(model, ids, np.tile(tree.actions, (64, 1)))
+        assert one == many
+
+    def test_tape_nodes_linear_in_length(self):
+        # 64 different trees at T=48: a constant number of nodes per step,
+        # whatever mix of stack depths the rows are at
+        model = tiny_model(seed=34, vocab=20, dim=4, dropout=0.0)
+        rng = np.random.default_rng(35)
+        t = 48
+        ids = rng.integers(2, 20, size=(64, t))
+        acts = np.array([random_tree(t, rng).actions for _ in range(64)])
+        assert self.tape_nodes(model, ids, acts) <= 80 * t
+
+    def test_mixed_rows_match_reference_row_by_row(self):
+        model = tiny_model(seed=36, dropout=0.0)
+        rng = np.random.default_rng(37)
+        t = 6
+        ids = rng.integers(2, 8, size=(12, t))
+        acts = np.array([random_tree(t, rng).actions for _ in range(12)])
+        assert len({tuple(a) for a in acts}) > 6
+        with Tape():
+            taped = model.joint_log_likelihood_batch(
+                ids, acts, rng=np.random.default_rng(0))
+        untaped = model.joint_log_likelihood_batch(ids, acts)
+        for row in range(12):
+            want = reference_joint(model, ids[row], acts[row])
+            for term, act in (taped, untaped):
+                assert term.data[row] == pytest.approx(want[0], abs=1e-10)
+                assert act.data[row] == pytest.approx(want[1], abs=1e-10)
+
+    def test_batch_gradient_is_sum_of_row_gradients(self):
+        model = tiny_model(seed=38, dim=4, dropout=0.0)
+        rng = np.random.default_rng(39)
+        t = 5
+        ids = rng.integers(2, 8, size=(6, t))
+        acts = np.array([random_tree(t, rng).actions for _ in range(6)])
+
+        def grads(rows):
+            with Tape() as tape:
+                terminal, action = model.joint_log_likelihood_batch(
+                    ids[rows], acts[rows], rng=np.random.default_rng(0))
+                root = ad.sum_all(ad.add(terminal, action))
+            g = tape.backward(root)
+            return {k: g[p] for k, p in model.params.items()}
+
+        batch = grads(slice(None))
+        rows = [grads(slice(r, r + 1)) for r in range(6)]
+        for name, g in batch.items():
+            np.testing.assert_allclose(g, sum(r[name] for r in rows),
+                                       rtol=1e-10, atol=1e-13)
+
+    def test_prior_sampler_reproduces_recorded_draws(self):
+        # recorded from the per-row-list stepper that the array stack
+        # replaced; the draws and their log-probabilities must not move
+        model = GenerativeModel(8, dim=5, rng=np.random.default_rng(40))
+        actions, logprob = model.sample_actions_conditional(
+            np.array([2, 3, 4, 5, 6]), 6, np.random.default_rng(41))
+        assert actions.tolist() == [
+            [S, S, R, S, S, S, R, R, R], [S, S, R, S, R, S, S, R, R],
+            [S, S, S, R, S, S, R, R, R], [S, S, S, S, S, R, R, R, R],
+            [S, S, S, S, R, R, R, S, R], [S, S, R, S, R, S, R, S, R]]
+        np.testing.assert_allclose(logprob, [
+            -2.08468825584343, -2.0743638719404114, -2.7828726496875698,
+            -2.0950738011440957, -3.4605381020078347, -2.064135420578543],
+            rtol=1e-13)
+
+    def test_generate_reproduces_recorded_samples(self):
+        model = GenerativeModel(8, dim=5, rng=np.random.default_rng(40))
+        rng = np.random.default_rng(42)
+        recorded = [
+            ((6, 3, 5, 6, 0, 5), (S, S, S, R, S, S, R, R, S, R, R),
+             -17.38043281162931, True, False),
+            ((6, 3, 4, 6, 6, 7), (S, S, R, S, R, S, S, R, S, R, R),
+             -16.04051182700733, True, False),
+            ((6,), (S,), -4.175255669189754, False, True),
+            ((3, 0, 5, 7, 3, 0), (S, S, R, S, S, R, R, S, R, S, R),
+             -15.886016135361428, True, False),
+        ]
+        for ids, actions, log_lik, truncated, eos_at_root in recorded:
+            out = model.generate(rng, max_len=6)
+            assert (out.ids, out.actions) == (ids, actions)
+            assert (out.truncated, out.eos_at_root) == (truncated,
+                                                        eos_at_root)
+            assert out.log_likelihood == pytest.approx(log_lik, rel=1e-13)

@@ -7,6 +7,7 @@ import pytest
 import urnng.autodiff as ad
 from urnng import oracle
 from urnng.autodiff import Tape, grad_check
+from urnng.checkpoint import load_checkpoint, save_checkpoint
 from urnng.crf import inside, tree_log_prob_batch, viterbi
 from urnng.trainer import (TrainConfig, Trainer, build_models, leave_one_out,
                            make_batches)
@@ -419,6 +420,35 @@ class TestTrainLoop:
         left, right = straight.named_arrays(), resumed.named_arrays()
         for k in left:
             np.testing.assert_array_equal(left[k], right[k])
+
+    def test_checkpoint_with_retired_output_bias_resumes(self, tmp_path):
+        # checkpoints written before the span scorer lost its output bias
+        # still hold inf.mlp_b2 and its Adam moments; they load and resume
+        def fresh(epochs):
+            cfg = tiny_config(epochs=epochs, dropout=0.5, seed=19)
+            model, net = build_models(cfg, 12)
+            return Trainer(model, net, cfg)
+
+        train, val = self.corpus(16, 20), self.corpus(6, 21)
+        straight = fresh(2)
+        straight_records = straight.train(train, val)
+
+        first = fresh(1)
+        first.train(train, val)
+        arrays = dict(first.named_arrays())
+        assert "inf.mlp_b2" not in arrays
+        arrays["inf.mlp_b2"] = np.array([0.07])
+        arrays["opt.phi.m.inf.mlp_b2"] = np.array([1e-12])
+        arrays["opt.phi.v.inf.mlp_b2"] = np.array([1e-24])
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, arrays, {"trainer": first.metadata()})
+        loaded, meta = load_checkpoint(path)
+
+        resumed = fresh(2)
+        resumed.load_state(loaded, meta["trainer"])
+        assert resumed.train(train, val) == straight_records[1:]
+        for k, v in straight.named_arrays().items():
+            np.testing.assert_array_equal(v, resumed.named_arrays()[k])
 
     def test_load_state_rejects_shape_mismatch(self):
         cfg = tiny_config()
