@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import NumericError
 from .checkpoint import (CheckpointError, atomic_write_text, load_checkpoint,
                          save_checkpoint)
-from .crf import inside, sample_tree
+from .crf import inside, sample_trees, tree_log_prob
 from .evaluate import (evaluate_corpus, format_report, format_sentence_tsv,
                        viterbi_parses)
 from .synth import Grammar, synth_corpus, write_corpus
@@ -253,9 +253,9 @@ def cmd_sample(args) -> int:
         rng = np.random.default_rng((args.seed, i))
         ids = np.asarray(sentence.ids, dtype=np.int64)
         chart = inside(trainer.inference.span_scores(ids[None]))
-        for _ in range(args.samples):
-            tree, log_q = sample_tree(chart, rng, 0)
-            lines.append(f"{i}\t{log_q:.6f}\t"
+        trees, which = sample_trees(chart, rng, [0] * args.samples)
+        for tree in (trees[s] for s in which):
+            lines.append(f"{i}\t{tree_log_prob(chart, tree):.6f}\t"
                          f"{tree.to_bracketed(list(sentence.words))}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK

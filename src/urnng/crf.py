@@ -11,7 +11,7 @@ recursion: per width it gathers the children of every span at every split
 point into one [w-1, (T-w+1)·B] array, which a semiring ``combine`` reduces:
 
 * :func:`inside`, the log partition function (log-sum-exp), which keeps the
-  split log-weights that :func:`sample_tree` draws exact samples from,
+  split log-weights that :func:`sample_trees` draws exact samples from,
 * :func:`tree_entropy`, exact entropy (expectation semiring),
 * :func:`viterbi`, the argmax tree (max).
 
@@ -155,21 +155,82 @@ def inside(scores: SpanScores) -> Chart:
     return Chart(scores, log_z, split_lw)
 
 
-def sample_tree(chart: Chart, rng: np.random.Generator,
-                b: int = 0) -> tuple[TreeRepr, float]:
-    """Draw one tree exactly from the chart distribution; returns (tree, log q)."""
-    t = chart.length
+def _build_tree(length: int, split) -> TreeRepr:
+    """The tree whose span (i, j) splits at ``split(i, j)``.
+
+    Internal spans are visited top-down, right child first, which is the
+    order in which :func:`sample_trees` draws their split points.
+    """
     spans: set[tuple[int, int]] = set()
-    agenda: list[tuple[int, int]] = [(1, t)]
+    agenda = [(1, length)]
     while agenda:
         i, j = agenda.pop()
         spans.add((i, j))
-        if i == j:
-            continue
-        k = i + int(rng.choice(j - i, p=chart.split_weights(i, j, b)))
-        agenda.append((i, k))
-        agenda.append((k + 1, j))
-    tree = TreeRepr(t, frozenset(spans))
+        if i < j:
+            k = split(i, j)
+            agenda.append((i, k))
+            agenda.append((k + 1, j))
+    return TreeRepr(length, frozenset(spans))
+
+
+def sample_trees(chart: Chart, rng: np.random.Generator,
+                 rows) -> tuple[list[TreeRepr], np.ndarray]:
+    """Draw tree s exactly from chart batch row ``rows[s]``, all in lockstep.
+
+    Returns the distinct trees in order of first draw and, per draw, the
+    index of its tree.  Every tree has T-1 internal spans and takes one
+    uniform per internal span in :func:`_build_tree`'s visiting order, so
+    the draws and the generator's end state equal those of drawing the
+    trees one after another.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    t, batch, n = chart.length, chart.batch, len(rows)
+    used = np.unique(rows)
+    tol = np.sqrt(np.finfo(np.float64).eps)  # as in Generator.choice
+    cdfs: list[np.ndarray | None] = [None, None]
+    for w, p in enumerate(chart._split_weights[2:], start=2):
+        # the check Generator.choice makes on p, once for the sampled rows
+        sampled = p.reshape(t - w + 1, batch, w - 1)[:, used]
+        if (sampled < 0).any() or not (
+                np.abs(sampled.sum(axis=2) - 1) <= tol).all():
+            raise ad.NumericError(
+                f"split weights of width {w} are not probabilities")
+        cdfs.append(np.cumsum(p, axis=1))
+        cdfs[w] /= cdfs[w][:, -1:]
+    u = rng.random((n, t - 1))
+    # each draw's agenda of spans still to split, popped from the top
+    lo, hi = np.ones((n, t), np.int64), np.full((n, t), t, np.int64)
+    top = np.ones(n, np.int64)
+    splits = np.empty((n, t - 1), np.int64)
+    draw = np.arange(n)
+    for d in range(t - 1):
+        top -= 1
+        i, j = lo[draw, top], hi[draw, top]
+        width = j - i + 1
+        for w in np.unique(width):
+            m = np.flatnonzero(width == w)
+            cdf = cdfs[w][(i[m] - 1) * batch + rows[m]]
+            # searchsorted(side="right") on each non-decreasing row
+            splits[m, d] = i[m] + (cdf <= u[m, d, None]).sum(axis=1)
+        k = splits[:, d]
+        lo[draw, top], hi[draw, top] = i, k
+        top += k > i
+        lo[draw, top], hi[draw, top] = k + 1, j
+        top += j > k + 1
+    _, first, which = np.unique(splits, axis=0, return_index=True,
+                                return_inverse=True)
+    order = np.argsort(first)  # distinct split rows by first draw
+    trees = []
+    for s in first[order]:
+        points = iter(splits[s].tolist())
+        trees.append(_build_tree(t, lambda i, j: next(points)))
+    return trees, np.argsort(order)[which.reshape(-1)]
+
+
+def sample_tree(chart: Chart, rng: np.random.Generator,
+                b: int = 0) -> tuple[TreeRepr, float]:
+    """Draw one tree exactly from the chart distribution; returns (tree, log q)."""
+    (tree,), _ = sample_trees(chart, rng, [b])
     return tree, tree_log_prob(chart, tree, b)
 
 
@@ -232,16 +293,8 @@ def viterbi(scores: SpanScores, b: int = 0) -> tuple[TreeRepr, float]:
         return Tensor(diags[w].data + pairs.data.max(axis=0))
 
     best = _fill_chart(diags[1], t, 1, combine)
-    spans: set[tuple[int, int]] = set()
-    agenda = [(1, t)]
-    while agenda:
-        i, j = agenda.pop()
-        spans.add((i, j))
-        if i < j:
-            k = i + int(back[j - i + 1][i - 1])
-            agenda.append((i, k))
-            agenda.append((k + 1, j))
-    return TreeRepr(t, frozenset(spans)), float(best.data[0])
+    tree = _build_tree(t, lambda i, j: i + int(back[j - i + 1][i - 1]))
+    return tree, float(best.data[0])
 
 
 class InferenceNetwork:

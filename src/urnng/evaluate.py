@@ -20,7 +20,8 @@ import numpy as np
 
 from .autodiff import NumericError
 from .checkpoint import atomic_write_text
-from .crf import InferenceNetwork, flatten, inside, sample_tree, tree_entropy, viterbi
+from .crf import (InferenceNetwork, flatten, inside, sample_trees,
+                  tree_entropy, tree_log_prob, viterbi)
 from .rnng import GenerativeModel
 from .treebank import DataError, ParseNode, Sentence, TreeRepr, count_trees
 
@@ -53,9 +54,8 @@ def iw_log_marginal(model: GenerativeModel, inference: InferenceNetwork,
                                                       rng, k)
     if not np.all(np.isfinite(log_qs)):
         raise NumericError("proposal assigned a sampled tree -inf log q")
-    first = np.unique(which, return_index=True)[1]
     log_counts = [math.log(count) for count in np.bincount(which)]
-    terms = terminal + action - log_qs[first] + log_counts
+    terms = terminal + action - log_qs + log_counts
     top = terms.max()
     return float(top + np.log(np.exp(terms - top).sum()) - math.log(k))
 
@@ -65,15 +65,11 @@ def _sampled_joints(model: GenerativeModel, ids: np.ndarray, chart,
     """Draw k trees from row 0 of ``chart`` and score each distinct tree
     once, in eval mode and 256 rows at a time.
 
-    Returns the distinct trees' terminal and action log-likelihoods (in
-    order of first draw), which of them each draw is, and each draw's log q.
+    Returns the distinct trees' terminal and action log-likelihoods and log q
+    (in order of first draw), and which of them each draw is.
     """
-    index: dict[TreeRepr, int] = {}
-    which, log_qs = np.empty(k, dtype=np.int64), np.empty(k)
-    for s in range(k):
-        tree, log_qs[s] = sample_tree(chart, rng, 0)
-        which[s] = index.setdefault(tree, len(index))
-    trees = list(index)
+    trees, which = sample_trees(chart, rng, np.zeros(k, dtype=np.int64))
+    log_qs = np.array([tree_log_prob(chart, tree) for tree in trees])
     terminal, action = np.empty(len(trees)), np.empty(len(trees))
     for lo in range(0, len(trees), 256):
         chunk = trees[lo:lo + 256]
@@ -291,7 +287,7 @@ def distributional_metrics(sentences: list[Sentence],
         terminal, action, which, log_qs = _sampled_joints(model, ids, chart,
                                                           rng, k)
         recon_sum += float(terminal[which].mean())
-        kl_sum += float((log_qs - action[which]).mean())
+        kl_sum += float((log_qs[which] - action[which]).mean())
         _, prior_lp = model.sample_actions_conditional(ids, k, rng)
         prior_sum += float(-prior_lp.mean())
         tokens += len(ids)

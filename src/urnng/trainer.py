@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tape, Tensor
-from .crf import (InferenceNetwork, inside, sample_tree, tree_entropy,
+from .crf import (InferenceNetwork, inside, sample_trees, tree_entropy,
                   tree_log_prob_batch)
 from .optim import SGD, Adam
 from .rnng import RNNLM, GenerativeModel
@@ -257,11 +257,11 @@ class Trainer:
                 ids, rng=self.rng if train_phi else None)
             chart = inside(scores)
             entropy = tree_entropy(chart)
-            trees = [sample_tree(chart, self.rng, b)[0]
-                     for _ in range(k) for b in range(n)]
             rows = np.tile(np.arange(n), k)
+            trees, which = sample_trees(chart, self.rng, rows)
             ids_rep = np.tile(ids, (k, 1))
-            acts = np.array([tree.actions for tree in trees], dtype=np.int64)
+            acts = np.array([tree.actions for tree in trees],
+                            dtype=np.int64)[which]
             terminal, action = self.model.joint_log_likelihood_batch(
                 ids_rep, acts, rng=self.rng)
             theta_loss = ad.scale(
@@ -276,7 +276,8 @@ class Trainer:
             if train_phi:
                 reward = (terminal.data + anneal * action.data).reshape(k, n)
                 advantage = (reward - leave_one_out(reward)).reshape(k * n)
-                log_q = tree_log_prob_batch(chart, trees, rows)
+                log_q = tree_log_prob_batch(
+                    chart, [trees[s] for s in which], rows)
                 phi_loss = ad.add(
                     ad.scale(ad.sum_all(ad.mul(log_q, Tensor(advantage))),
                              -1.0 / (k * n)),
@@ -407,8 +408,9 @@ class Trainer:
             scores = self.inference.span_scores(ids)
             chart = inside(scores)
             entropy = tree_entropy(chart).data
-            trees = [sample_tree(chart, rng, b)[0] for b in range(n)]
-            acts = np.array([tree.actions for tree in trees], dtype=np.int64)
+            trees, which = sample_trees(chart, rng, np.arange(n))
+            acts = np.array([tree.actions for tree in trees],
+                            dtype=np.int64)[which]
             terminal, action = self.model.joint_log_likelihood_batch(ids, acts)
             elbo += float(
                 (terminal.data + action.data + entropy).sum())

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import urnng.autodiff as ad
 from urnng import oracle
-from urnng.autodiff import Tape, Tensor, grad_check
+from urnng.autodiff import NumericError, Tape, Tensor, grad_check
 from urnng.crf import (Chart, InferenceNetwork, SpanScores, flatten, inside,
-                       sample_tree, span_indicator, span_order, tree_entropy,
-                       tree_log_prob, viterbi)
-from urnng.treebank import DataError, count_trees, left_branching
+                       sample_tree, sample_trees, span_indicator, span_order,
+                       tree_entropy, tree_log_prob, viterbi)
+from urnng.treebank import DataError, TreeRepr, count_trees, left_branching
 
 
 def random_scores(t, rng, scale=2.0, batch=1):
@@ -19,6 +21,38 @@ def random_scores(t, rng, scale=2.0, batch=1):
 
 def zero_scores(t, batch=1):
     return SpanScores(t, Tensor(np.zeros((batch, len(span_order(t))))))
+
+
+def reference_sample_tree(chart, rng, b=0):
+    """One tree drawn node by node with ``Generator.choice``, top-down."""
+    t = chart.length
+    spans = set()
+    agenda = [(1, t)]
+    while agenda:
+        i, j = agenda.pop()
+        spans.add((i, j))
+        if i == j:
+            continue
+        k = i + int(rng.choice(j - i, p=chart.split_weights(i, j, b)))
+        agenda.append((i, k))
+        agenda.append((k + 1, j))
+    return TreeRepr(t, frozenset(spans))
+
+
+def assert_same_draws(chart, rows, seed):
+    """sample_trees gives the reference sampler's trees, draw by draw, and
+    leaves the generator in the same state."""
+    want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
+    want = [reference_sample_tree(chart, want_rng, b) for b in rows]
+    trees, which = sample_trees(chart, got_rng, rows)
+    index = {}
+    assert [index.setdefault(tree, len(index)) for tree in want] == \
+        which.tolist()
+    assert trees == list(index)
+    # same spans in the same set order, so span sums run in the same order
+    assert [list(trees[s].spans) for s in which] == \
+        [list(tree.spans) for tree in want]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestInside:
@@ -148,6 +182,45 @@ class TestSampler:
         for _ in range(10):
             tree, logq = sample_tree(chart, rng)
             assert logq == pytest.approx(tree_log_prob(chart, tree))
+
+
+class TestLockstepSampler:
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 12, 48])
+    def test_matches_reference_draw_for_draw(self, t):
+        rng = np.random.default_rng(t)
+        chart = inside(random_scores(t, rng, batch=3))
+        tiled = np.tile(np.arange(3), 200 // 3 + 1)[:200]
+        assert_same_draws(chart, tiled, seed=t)
+        assert_same_draws(chart, rng.permutation(tiled), seed=t + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(1, 8), batch=st.integers(1, 3),
+           k=st.integers(1, 30), scale=st.floats(0.0, 6.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_random_tables(self, t, batch, k, scale,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        chart = inside(random_scores(t, rng, scale=scale, batch=batch))
+        assert_same_draws(chart, rng.integers(0, batch, size=k), seed)
+
+    def test_wrapper_draws_one_tree_with_its_log_prob(self):
+        chart = inside(random_scores(6, np.random.default_rng(12), batch=2))
+        want = reference_sample_tree(chart, np.random.default_rng(3), 1)
+        tree, log_q = sample_tree(chart, np.random.default_rng(3), 1)
+        assert tree == want and log_q == tree_log_prob(chart, want, 1)
+
+    def test_nan_scores_raise_numeric_error(self):
+        table = np.random.default_rng(13).standard_normal((5, 5))
+        table[1, 3] = np.nan
+        prev = ad.set_check_finite(False)
+        try:
+            chart = inside(SpanScores.from_table(table))
+        finally:
+            ad.set_check_finite(prev)
+        with pytest.raises(NumericError, match="not probabilities"):
+            sample_trees(chart, np.random.default_rng(0), [0, 0])
+        with pytest.raises(NumericError, match="not probabilities"):
+            sample_tree(chart, np.random.default_rng(0))
 
 
 class TestEntropy:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from urnng import evaluate, oracle
-from urnng.crf import SpanScores, flatten, inside, sample_tree
+from urnng.crf import SpanScores, flatten, inside, sample_tree, tree_log_prob
 from urnng.evaluate import (EvalReport, bracket_multiset,
                             distributional_metrics, evaluate_corpus,
                             iw_log_marginal, iw_perplexity, label_recall,
@@ -18,6 +18,7 @@ from urnng.treebank import (DataError, Sentence, TreeRepr, count_trees,
                             left_branching, parse_sexprs, random_tree,
                             right_branching)
 
+from tests.test_crf import reference_sample_tree
 from tests.test_trainer import tiny_config
 
 
@@ -332,6 +333,25 @@ class TestDistributionalMetrics:
         assert np.isfinite(out["reconstruction_perplexity"])
         assert out["reconstruction_perplexity"] > 1.0
 
+
+    def test_sampled_joints_match_reference_draws(self):
+        model, net = tiny_models(seed=17)
+        ids = np.array([2, 5, 3, 4, 6, 7])
+        chart = inside(flatten(net.span_scores(ids[None]), 2.0))
+        k = 300
+        want_rng, got_rng = (np.random.default_rng(8) for _ in range(2))
+        draws = [reference_sample_tree(chart, want_rng) for _ in range(k)]
+        terminal, action, which, log_qs = evaluate._sampled_joints(
+            model, ids, chart, got_rng, k)
+        index = {}
+        assert which.tolist() == [index.setdefault(tree, len(index))
+                                  for tree in draws]
+        assert log_qs[which].tolist() == [tree_log_prob(chart, tree)
+                                          for tree in draws]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        for tree, term, act in zip(index, terminal, action):
+            assert (term, act) == pytest.approx(
+                model.joint_log_likelihood(ids, tree), rel=1e-12)
 
     def test_diagnostics_average_every_draw(self):
         # repeated trees are scored once, but reconstruction and KL still
