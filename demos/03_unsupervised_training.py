@@ -4,7 +4,7 @@ No tree is ever shown to the learner.  A small PCFG generates a corpus;
 the trainer maximizes a sampled evidence lower bound that couples the
 generative model with a chart-structured inference network; afterwards we
 compare the induced Viterbi parses against the (held-out) generating
-trees.  Runs in well under a minute on one CPU.
+trees.  Runs in about 70 seconds on a 2-core x86 machine.
 """
 
 from importlib import resources

@@ -21,6 +21,7 @@ All operations check their outputs for NaN/Inf by default and raise
 from __future__ import annotations
 
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -146,6 +147,10 @@ class Tensor:
 
 
 class _Node:
+    # ``out`` holds the ids of the outputs and ``tape`` a weak reference, so
+    # no reference cycle keeps a tape's arrays alive until the next cyclic
+    # garbage collection.  An output that died was consumed by no node, so
+    # no gradient is pending under its id when a later tensor reuses it.
     __slots__ = ("out", "inputs", "vjp", "tape")
 
     def __init__(self, out, inputs, vjp, tape):
@@ -234,10 +239,11 @@ class Tape:
     appear on this record, each call starting from a fresh accumulator.
     """
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "_ref", "__weakref__")
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._ref = weakref.ref(self)  # what the nodes hold
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -266,22 +272,22 @@ class Tape:
             raise ShapeError(
                 f"backward: root must be a scalar, got shape {root.data.shape}"
             )
-        if root.node is None or root.node.tape is not self:
+        if root.node is None or root.node.tape() is not self:
             raise ValueError("backward: root was not produced on this tape")
 
         pending: dict[int, np.ndarray | _Sum] = {id(root): np.ones_like(root.data)}
         leaves: dict[Tensor, np.ndarray | _Sum] = {}
         for node in reversed(self._nodes):
             many = type(node.out) is tuple
-            g = [_formed(pending.pop(id(t), None))
-                 for t in (node.out if many else (node.out,))]
+            g = [_formed(pending.pop(key, None))
+                 for key in (node.out if many else (node.out,))]
             if all(part is None for part in g):
                 continue
             for tensor, part in zip(node.inputs,
                                     node.vjp(tuple(g) if many else g[0])):
                 if part is None or not tensor.requires_grad:
                     continue
-                if tensor.node is not None and tensor.node.tape is self:
+                if tensor.node is not None and tensor.node.tape() is self:
                     _accumulate(pending, id(tensor), tensor.shape, part)
                 else:
                     _accumulate(leaves, tensor, tensor.shape, part)
@@ -302,7 +308,8 @@ def _emit(opname: str, out_data, inputs: tuple, vjp):
     taped = tape is not None and any(t.requires_grad for t in inputs)
     outs = tuple(Tensor(a, requires_grad=taped) for a in arrays)
     if taped:
-        node = _Node(outs if many else outs[0], inputs, vjp, tape)
+        ids = tuple(map(id, outs))
+        node = _Node(ids if many else ids[0], inputs, vjp, tape._ref)
         for out in outs:
             out.node = node
         tape._nodes.append(node)

@@ -3,12 +3,17 @@
 A sentence of length T gets one real-valued score per span ``(i, j)``; a
 tree's unnormalized log-weight is the sum of scores over its spans (singleton
 spans included: they appear in every tree, so they shift the partition
-function but leave the distribution unchanged).  Everything downstream of the
-scores is an O(T^3) chart filled one width at a time.  The width-w chart is a
-diagonal laid out start-major, a vector of length (T-w+1)·B holding span
-(i, i+w-1) of batch row b at (i-1)·B + b.  :func:`_fill_chart` is the one
-recursion: per width it gathers the children of every span at every split
-point into one [w-1, (T-w+1)·B] array, which a semiring ``combine`` reduces:
+function but leave the distribution unchanged).  A batch's scores are a
+[B, n_spans] sheet whose columns follow :func:`span_order`, the row-major
+upper triangle; :func:`span_index` maps span (i, j) to its column.
+
+Everything downstream of the scores is an O(T^3) chart filled one width at a
+time.  The width-w chart is a diagonal laid out start-major, a vector of
+length (T-w+1)·B holding span (i, i+w-1) of batch row b at (i-1)·B + b.
+:func:`_fill_chart` is the one recursion: per width it gathers the left and
+the right children of every span at every split point from the diagonals
+filled so far, one index op each, and a semiring ``combine`` reduces their
+[w-1, (T-w+1)·B] sums:
 
 * :func:`inside`, the log partition function (log-sum-exp), which keeps the
   split log-weights that :func:`sample_trees` draws exact samples from,
@@ -16,8 +21,9 @@ point into one [w-1, (T-w+1)·B] array, which a semiring ``combine`` reduces:
 * :func:`viterbi`, the argmax tree (max).
 
 :class:`InferenceNetwork` produces the scores from a bidirectional LSTM over
-the sentence; the chart functions accept scores from any source, which is how
-the oracle cross-checks drive them with raw tables.
+the sentence, gathering the features of all spans from its outputs at once;
+the chart functions accept scores from any source, which is how the oracle
+cross-checks drive them with raw tables.
 """
 
 from __future__ import annotations
@@ -39,21 +45,19 @@ def span_order(length: int) -> tuple[tuple[int, int], ...]:
                  for j in range(i, length + 1))
 
 
-@lru_cache(maxsize=None)
-def _span_index(length: int) -> dict[tuple[int, int], int]:
-    return {span: idx for idx, span in enumerate(span_order(length))}
+def span_index(length: int, i, j):
+    """Position of span (i, j) in ``span_order(length)``; takes arrays too."""
+    return (i - 1) * length - (i - 1) * (i - 2) // 2 + j - i
 
 
 def span_indicator(trees, length: int) -> np.ndarray:
     """0/1 matrix [n_trees, n_spans] marking each tree's spans."""
-    index = _span_index(length)
-    out = np.zeros((len(trees), len(index)), dtype=np.float64)
+    out = np.zeros((len(trees), length * (length + 1) // 2))
     for row, tree in enumerate(trees):
         if tree.length != length:
             raise ValueError(
                 f"tree of length {tree.length} in a length-{length} batch")
-        for span in tree.spans:
-            out[row, index[span]] = 1.0
+        out[row, span_index(length, *np.array(list(tree.spans)).T)] = 1.0
     return out
 
 
@@ -74,10 +78,9 @@ class SpanScores:
     def from_table(cls, table, requires_grad: bool = False) -> "SpanScores":
         """Wrap a single [T, T] upper-triangular table (row i-1, col j-1)."""
         table = np.asarray(table, dtype=np.float64)
-        length = table.shape[0]
-        row = np.array([table[i - 1, j - 1] for (i, j) in span_order(length)])
-        return cls(length, Tensor(row[None, :], requires_grad=requires_grad,
-                                  name="span_scores"))
+        row = table[np.triu_indices(table.shape[0])]  # row-major: span_order
+        return cls(table.shape[0], Tensor(row[None, :], name="span_scores",
+                                          requires_grad=requires_grad))
 
     def diagonals(self) -> list[Tensor | None]:
         """Scores by width: entry w is the start-major [(T-w+1)·B] diagonal."""
@@ -85,8 +88,8 @@ class SpanScores:
         column = ad.reshape(ad.transpose(self.flat), (self.flat.data.size,))
         out: list[Tensor | None] = [None]
         for w in range(1, t + 1):
-            s = np.arange(t - w + 1)  # i - 1 for every start i
-            idx = s * t - s * (s - 1) // 2 + w - 1  # span_order of (i, i+w-1)
+            i = np.arange(1, t - w + 2)
+            idx = span_index(t, i, i + w - 1)
             out.append(ad.take_rows(
                 column, (idx[:, None] * batch + np.arange(batch)).ravel()))
         return out
@@ -102,18 +105,24 @@ def flatten(scores: SpanScores, temperature: float) -> SpanScores:
 def _fill_chart(first: Tensor, length: int, batch: int, combine) -> Tensor:
     """Fill widths 2..T from the width-1 diagonal; returns the width-T one.
 
-    ``combine(w, pairs)`` receives the left-plus-right child values of every
-    width-w span at every split point, shape [w-1, (T-w+1)·B], and returns
-    the width-w diagonal.
+    ``combine(w, pairs)`` receives, for every width-w span at every split
+    point, the left child (entry s·B + b of width m for the span starting at
+    s, split after m words) plus the right one (entry (s+m)·B + b of width
+    w-m), shape [w-1, (T-w+1)·B], and returns the width-w diagonal.
     """
-    diags = [None, first]
+    diags = [first]
+    # start[m]: where width m begins in ``concat(diags)``, for m >= 1
+    start = np.cumsum([0, 0] + [(length - m + 1) * batch
+                                for m in range(1, length)])
     for w in range(2, length + 1):
-        n = (length - w + 1) * batch
-        left = ad.stack0([ad.narrow(diags[m], 0, 0, n) for m in range(1, w)])
-        right = ad.stack0([ad.narrow(diags[w - m], 0, m * batch, n)
-                           for m in range(1, w)])
+        m = np.arange(1, w)[:, None]
+        col = np.arange((length - w + 1) * batch)
+        chart = ad.concat(diags)
+        left, right = (
+            ad.reshape(ad.take_rows(chart, idx.ravel()), idx.shape)
+            for idx in (start[m] + col, start[w - m] + m * batch + col))
         diags.append(combine(w, ad.add(left, right)))
-    return diags[length]
+    return diags[-1]
 
 
 class Chart:
@@ -239,9 +248,9 @@ def tree_log_prob(chart: Chart, tree: TreeRepr, b: int = 0) -> float:
     if tree.length != chart.length:
         raise ValueError(
             f"tree length {tree.length} vs chart length {chart.length}")
-    index = _span_index(chart.length)
-    row = chart.scores.flat.data[b]
-    total = sum(row[index[span]] for span in tree.spans)
+    spans = span_index(tree.length, *np.array(list(tree.spans)).T)
+    # summed one span at a time in ``tree.spans`` order
+    total = sum(chart.scores.flat.data[b, spans].tolist())
     return float(total - chart.log_z.data[b])
 
 
@@ -322,26 +331,15 @@ class InferenceNetwork:
             embedding = nn.make_param(rng, "emb", (vocab_size, word_dim),
                                       init_scale)
         self.embedding = embedding
-        p = {}
-        p["inf.boundary"] = nn.make_param(rng, "inf.boundary", (2, word_dim),
-                                          init_scale)
-        p["inf.position"] = nn.make_param(rng, "inf.position",
-                                          (max_len + 2, word_dim), init_scale)
-        p["inf.fwd_w"] = nn.make_param(
-            rng, "inf.fwd_w", (word_dim + hidden_dim, 4 * hidden_dim),
-            init_scale)
-        p["inf.fwd_b"] = nn.make_param(rng, "inf.fwd_b", (4 * hidden_dim,),
-                                       init_scale)
-        p["inf.bwd_w"] = nn.make_param(
-            rng, "inf.bwd_w", (word_dim + hidden_dim, 4 * hidden_dim),
-            init_scale)
-        p["inf.bwd_b"] = nn.make_param(rng, "inf.bwd_b", (4 * hidden_dim,),
-                                       init_scale)
-        p["inf.mlp_w1"] = nn.make_param(rng, "inf.mlp_w1",
-                                        (2 * hidden_dim, mlp_hidden),
-                                        init_scale)
-        p["inf.mlp_b1"] = nn.make_param(rng, "inf.mlp_b1", (mlp_hidden,),
-                                        init_scale)
+        lstm = (word_dim + hidden_dim, 4 * hidden_dim)
+        shapes = {"inf.boundary": (2, word_dim),
+                  "inf.position": (max_len + 2, word_dim),
+                  "inf.fwd_w": lstm, "inf.fwd_b": lstm[1:],
+                  "inf.bwd_w": lstm, "inf.bwd_b": lstm[1:],
+                  "inf.mlp_w1": (2 * hidden_dim, mlp_hidden),
+                  "inf.mlp_b1": (mlp_hidden,)}
+        p = {name: nn.make_param(rng, name, shape, init_scale)
+             for name, shape in shapes.items()}
         p["inf.ln_gain"] = Tensor(np.ones(mlp_hidden), requires_grad=True,
                                   name="inf.ln_gain")
         p["inf.ln_bias"] = Tensor(np.zeros(mlp_hidden), requires_grad=True,
@@ -360,6 +358,13 @@ class InferenceNetwork:
 
         ``ids`` is an integer array [B, T].  Pass ``rng`` to enable dropout
         (training mode); omit it for deterministic evaluation.
+
+        Rows are position-major: row p·B + b holds padded position p of
+        batch row b.  Fencepost k = 0..T, after word k, is [f_{k+1} ; -b_k],
+        so the features [f_{j+1} - f_i ; b_{i-1} - b_j] of span (i, j) are
+        fencepost j minus fencepost i-1 (to the bit: negation is exact), and
+        the [n_spans·B, 2H] sheet, span-major in ``span_order``, is two
+        gathers and one difference.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2:
@@ -370,49 +375,41 @@ class InferenceNetwork:
                 f"sentence length {t} exceeds position table capacity "
                 f"{self.max_len}")
         p = self.params
-        hidden = self.hidden_dim
+
+        def rows(pos: np.ndarray) -> np.ndarray:
+            return (pos[:, None] * batch + np.arange(batch)).ravel()
 
         # Inputs at padded positions 0..T+1: boundary, words, boundary, each
-        # with its learned position embedding added.
-        inputs: list[Tensor] = []
-        for pos in range(t + 2):
-            if pos == 0:
-                x = ad.take_rows(p["inf.boundary"], np.zeros(batch, np.int64))
-            elif pos == t + 1:
-                x = ad.take_rows(p["inf.boundary"], np.ones(batch, np.int64))
-            else:
-                x = ad.take_rows(self.embedding, ids[:, pos - 1])
-            pos_rows = ad.take_rows(p["inf.position"],
-                                    np.full(batch, pos, np.int64))
-            inputs.append(ad.add(x, pos_rows))
+        # with its learned position embedding added.  Rows 0 and 1 of the
+        # gathered table are the two boundaries, row 2 + (p-1)·B + b a word.
+        table = ad.concat([p["inf.boundary"],
+                           ad.take_rows(self.embedding, ids.T.ravel())])
+        x = ad.add(ad.take_rows(table, np.pad(np.arange(2, t * batch + 2),
+                                              batch, constant_values=(0, 1))),
+                   ad.take_rows(p["inf.position"],
+                                np.repeat(np.arange(t + 2), batch)))
 
-        zero = nn.zeros((batch, hidden))
-        fwd: list[Tensor] = []
-        state = (zero, zero)
-        for pos in range(t + 2):
-            state = nn.lstm_cell(inputs[pos], state, p["inf.fwd_w"],
-                                 p["inf.fwd_b"])
-            fwd.append(state[0])
-        bwd_rev: list[Tensor] = []
-        state = (zero, zero)
-        for pos in range(t + 1, -1, -1):
-            state = nn.lstm_cell(inputs[pos], state, p["inf.bwd_w"],
-                                 p["inf.bwd_b"])
-            bwd_rev.append(state[0])
-        bwd = bwd_rev[::-1]
+        def run(w: Tensor, b: Tensor, positions) -> list[Tensor]:
+            state = (nn.zeros((batch, self.hidden_dim)),) * 2
+            hs = [None] * (t + 2)
+            for pos in positions:
+                step = ad.take_rows(x, pos * batch + np.arange(batch))
+                state = nn.lstm_cell(step, state, w, b)
+                hs[pos] = state[0]
+            return hs
 
-        feats = []
-        for (i, j) in span_order(t):
-            fdiff = ad.sub(fwd[j + 1], fwd[i])
-            bdiff = ad.sub(bwd[i - 1], bwd[j])
-            feats.append(ad.concat([fdiff, bdiff], axis=1))
-        sheet = ad.concat(feats, axis=0)  # [P*B, 2H], span-major
+        fwd = run(p["inf.fwd_w"], p["inf.fwd_b"], range(t + 2))
+        bwd = run(p["inf.bwd_w"], p["inf.bwd_b"], range(t + 1, -1, -1))
+        posts = ad.concat([ad.concat(fwd[1:]),
+                           ad.scale(ad.concat(bwd[:-1]), -1.0)], axis=1)
+        i, j = np.triu_indices(t)  # spans (i+1, j+1), in span_order
+        sheet = ad.sub(ad.take_rows(posts, rows(j + 1)),
+                       ad.take_rows(posts, rows(i)))
         h = ad.relu(nn.linear(sheet, p["inf.mlp_w1"], p["inf.mlp_b1"]))
         h = ad.layer_norm(h, p["inf.ln_gain"], p["inf.ln_bias"])
         h = ad.dropout(h, self.dropout, rng)
         # no output bias: it would add one constant to every span, which
         # no tree distribution can see, so its gradient is exactly zero
         out = ad.matmul(h, p["inf.mlp_w2"])  # [P*B, 1]
-        n_spans = len(span_order(t))
-        flat = ad.transpose(ad.reshape(out, (n_spans, batch)))
+        flat = ad.transpose(ad.reshape(out, (len(i), batch)))
         return SpanScores(t, flat)

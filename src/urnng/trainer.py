@@ -403,7 +403,7 @@ class Trainer:
         rng = np.random.default_rng((self.config.seed, 555, self.epoch))
         elbo = recon = ent = 0.0
         tokens = 0
-        for ids in self._eval_batches(sentences):
+        for _, ids in self._eval_batches(sentences):
             n, t_len = ids.shape
             scores = self.inference.span_scores(ids)
             chart = inside(scores)
@@ -428,21 +428,13 @@ class Trainer:
         }
 
     def _validate_joint(self, sentences, trees) -> dict:
-        order = {}
-        for idx, s in enumerate(sentences):
-            order.setdefault(len(s.ids), []).append(idx)
         total = 0.0
         tokens = 0
-        for t_len in sorted(order):
-            idxs = order[t_len]
-            for lo in range(0, len(idxs), self.config.batch_size):
-                chunk = idxs[lo:lo + self.config.batch_size]
-                ids = np.array([sentences[i].ids for i in chunk])
-                acts = np.array([trees[i].actions for i in chunk])
-                terminal, action = self.model.joint_log_likelihood_batch(
-                    ids, acts)
-                total += float((terminal.data + action.data).sum())
-                tokens += ids.size
+        for chunk, ids in self._eval_batches(sentences):
+            acts = np.array([trees[i].actions for i in chunk])
+            terminal, action = self.model.joint_log_likelihood_batch(ids, acts)
+            total += float((terminal.data + action.data).sum())
+            tokens += ids.size
         return {
             "metric": total / tokens,
             "joint_per_token": total / tokens,
@@ -453,7 +445,7 @@ class Trainer:
     def _validate_lm(self, sentences) -> dict:
         total = 0.0
         tokens = 0
-        for ids in self._eval_batches(sentences):
+        for _, ids in self._eval_batches(sentences):
             total += float(self.model.log_likelihood_batch(ids).data.sum())
             tokens += ids.size
         return {
@@ -464,6 +456,7 @@ class Trainer:
         }
 
     def _eval_batches(self, sentences):
+        """(indices, ids [n, T]) per same-length batch, shortest first."""
         order = {}
         for idx, s in enumerate(sentences):
             order.setdefault(len(s.ids), []).append(idx)
@@ -471,7 +464,7 @@ class Trainer:
             idxs = order[t_len]
             for lo in range(0, len(idxs), self.config.batch_size):
                 chunk = idxs[lo:lo + self.config.batch_size]
-                yield np.array([sentences[i].ids for i in chunk])
+                yield chunk, np.array([sentences[i].ids for i in chunk])
 
     # -- the epoch loop ---------------------------------------------------------
 

@@ -5,7 +5,9 @@ on small random operands, plus targeted tests for the tape, error paths, and
 numeric guards.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +241,30 @@ class TestTapeSemantics:
             ad.sum_all(a)
         with pytest.raises(ValueError, match="not produced on this tape"):
             other.backward(out)
+
+    def test_tape_and_its_arrays_freed_without_cyclic_gc(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                y = ad.exp(ad.scale(a, 2.0))  # exp's vjp keeps its output
+                root = ad.sum_all(y)
+            tape.backward(root)
+            probes = weakref.ref(tape), weakref.ref(y.data)
+            del tape, y, root
+            assert [probe() for probe in probes] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_gradients_ignore_outputs_that_died(self):
+        # an output nothing consumes dies at once; later tensors reuse its id
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            total = ad.sum_all(a)
+            for _ in range(50):
+                ad.scale(a, 3.0)
+                total = ad.add(total, ad.sum_all(ad.mul(a, a)))
+        np.testing.assert_allclose(tape.backward(total)[a], 1 + 100 * a.data)
 
     def test_untaped_ops_do_not_record(self):
         a = Tensor([1.0], requires_grad=True)

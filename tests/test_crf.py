@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import urnng.autodiff as ad
-from urnng import oracle
+from urnng import nn, oracle
 from urnng.autodiff import NumericError, Tape, Tensor, grad_check
 from urnng.crf import (Chart, InferenceNetwork, SpanScores, flatten, inside,
-                       sample_tree, sample_trees, span_indicator, span_order,
-                       tree_entropy, tree_log_prob, viterbi)
+                       sample_tree, sample_trees, span_index, span_indicator,
+                       span_order, tree_entropy, tree_log_prob, viterbi)
 from urnng.treebank import DataError, TreeRepr, count_trees, left_branching
 
 
@@ -53,6 +53,39 @@ def assert_same_draws(chart, rows, seed):
     assert [list(trees[s].spans) for s in which] == \
         [list(tree.spans) for tree in want]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def reference_span_scores(net, ids, rng=None):
+    """The span scorer built position by position and span by span."""
+    batch, t = ids.shape
+    p = net.params
+    inputs = []
+    for pos in range(t + 2):
+        if pos == 0:
+            x = ad.take_rows(p["inf.boundary"], np.zeros(batch, np.int64))
+        elif pos == t + 1:
+            x = ad.take_rows(p["inf.boundary"], np.ones(batch, np.int64))
+        else:
+            x = ad.take_rows(net.embedding, ids[:, pos - 1])
+        inputs.append(ad.add(x, ad.take_rows(p["inf.position"],
+                                             np.full(batch, pos, np.int64))))
+    fwd, bwd = [None] * (t + 2), [None] * (t + 2)
+    for out, name, order in ((fwd, "fwd", range(t + 2)),
+                             (bwd, "bwd", range(t + 1, -1, -1))):
+        state = (nn.zeros((batch, net.hidden_dim)),) * 2
+        for pos in order:
+            state = nn.lstm_cell(inputs[pos], state, p[f"inf.{name}_w"],
+                                 p[f"inf.{name}_b"])
+            out[pos] = state[0]
+    feats = [ad.concat([ad.sub(fwd[j + 1], fwd[i]),
+                        ad.sub(bwd[i - 1], bwd[j])], axis=1)
+             for (i, j) in span_order(t)]
+    h = ad.relu(nn.linear(ad.concat(feats, axis=0), p["inf.mlp_w1"],
+                          p["inf.mlp_b1"]))
+    h = ad.layer_norm(h, p["inf.ln_gain"], p["inf.ln_bias"])
+    h = ad.dropout(h, net.dropout, rng)
+    out = ad.matmul(h, p["inf.mlp_w2"])
+    return ad.transpose(ad.reshape(out, (len(feats), batch))).data
 
 
 class TestInside:
@@ -378,6 +411,34 @@ class TestInferenceNetwork:
         np.testing.assert_allclose(both[1], net.span_scores(b[None])
                                    .flat.data[0], atol=1e-12)
 
+    @pytest.mark.parametrize("t", [1, 2, 7, 20])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_span_sheet_matches_per_span_reference(self, t, batch, dropout):
+        net = self.tiny(max_len=20, dropout=0.3)
+        ids = np.random.default_rng(10 * t + batch).integers(0, 12, (batch, t))
+        got_rng, want_rng = (np.random.default_rng(7) if dropout else None
+                             for _ in range(2))
+        got = net.span_scores(ids, got_rng).flat.data
+        np.testing.assert_array_equal(
+            got, reference_span_scores(net, ids, want_rng))
+        if dropout:
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_longest_sentence_scoring_and_chart_tape_is_linear(self):
+        # a bounded number of tape nodes per position, none per span or
+        # per split point: the per-span loop alone recorded 3 per span
+        t = 150
+        net = self.tiny(max_len=t)
+        ids = np.random.default_rng(22).integers(0, 12, (2, t))
+        with Tape() as tape:
+            chart = inside(net.span_scores(ids))
+            root = ad.sum_all(ad.add(chart.log_z, tree_entropy(chart)))
+        assert len(tape) < 40 * t
+        grads = tape.backward(root)
+        for p in [*net.parameters().values(), net.embedding]:
+            assert np.all(np.isfinite(grads[p]))
+
     def test_length_capacity_guard(self):
         net = self.tiny()
         with pytest.raises(DataError, match="position table"):
@@ -418,6 +479,17 @@ class TestInferenceNetwork:
 
 def test_span_order_is_lexicographic():
     assert span_order(3) == ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
+def test_span_index_is_the_position_in_span_order():
+    for t in range(1, 9):
+        i, j = np.array(span_order(t)).T
+        np.testing.assert_array_equal(span_index(t, i, j),
+                                      np.arange(len(i)))
+        assert span_index(t, t, t) == len(i) - 1
+        table = np.random.default_rng(t).standard_normal((t, t))
+        assert SpanScores.from_table(table).flat.data[0].tolist() == \
+            [table[i - 1, j - 1] for (i, j) in span_order(t)]
 
 
 def test_span_indicator_marks_all_tree_spans():

@@ -121,6 +121,19 @@ class TestBatching:
         b = make_batches(lengths, 4, np.random.default_rng(5))
         assert [list(x) for x in a] == [list(x) for x in b]
 
+    def test_validation_batches_by_length_in_corpus_order(self):
+        cfg = tiny_config(batch_size=2)
+        trainer = Trainer(*build_models(cfg, 12), cfg)
+        sentences = make_sentences(9, (3, 4, 5), 12, 7)
+        batches = list(trainer._eval_batches(sentences))
+        chunks = [chunk for chunk, _ in batches]
+        # shortest first; one length per batch; corpus order within a length
+        assert sum(chunks, []) == sorted(
+            range(9), key=lambda i: len(sentences[i].ids))
+        for chunk, ids in batches:
+            assert 1 <= len(chunk) <= 2
+            assert ids.tolist() == [list(sentences[i].ids) for i in chunk]
+
 
 class TestScoreFunctionEstimator:
     """Monte Carlo gradient checks on a |V|=10, T=4, hidden-8 instance."""
