@@ -18,13 +18,13 @@ import numpy as np
 from .autodiff import NumericError
 from .checkpoint import (CheckpointError, atomic_write_text, load_checkpoint,
                          save_checkpoint)
-from .crf import inside, sample_trees, tree_log_prob
+from .crf import inside, sample_trees, tree_log_prob_batch
 from .evaluate import (evaluate_corpus, format_report, format_sentence_tsv,
                        viterbi_parses)
 from .synth import Grammar, synth_corpus, write_corpus
-from .trainer import TrainConfig, Trainer, build_models
-from .treebank import (DataError, Vocabulary, binarize_right, read_bracketed,
-                       read_corpus, read_tokenized)
+from .trainer import MODES, TrainConfig, Trainer, build_models
+from .treebank import (DataError, TreeRepr, Vocabulary, binarize_right,
+                       read_bracketed, read_corpus, read_tokenized)
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -253,10 +253,11 @@ def cmd_sample(args) -> int:
         rng = np.random.default_rng((args.seed, i))
         ids = np.asarray(sentence.ids, dtype=np.int64)
         chart = inside(trainer.inference.span_scores(ids[None]))
-        trees, which = sample_trees(chart, rng, [0] * args.samples)
-        for tree in (trees[s] for s in which):
-            lines.append(f"{i}\t{tree_log_prob(chart, tree):.6f}\t"
-                         f"{tree.to_bracketed(list(sentence.words))}")
+        spans, which = sample_trees(chart, rng, [0] * args.samples)
+        log_qs = tree_log_prob_batch(chart, spans, [0] * len(spans)).data
+        texts = [TreeRepr.from_array(row).to_bracketed(list(sentence.words))
+                 for row in spans]
+        lines.extend(f"{i}\t{log_qs[s]:.6f}\t{texts[s]}" for s in which)
     _emit("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK
 
@@ -322,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--corpus", required=True,
                        help="training corpus: tokens or bracketed trees")
     train.add_argument("--valid", required=True, help="validation corpus")
-    train.add_argument("--mode", choices=("urnng", "supervised", "lm",
-                                          "trivial-left", "trivial-right",
-                                          "trivial-random", "finetune"),
+    train.add_argument("--mode", choices=MODES,
                        help="training objective (default from config file)")
     train.add_argument("--config", help="key/value config file")
     train.add_argument("--seed", type=int, help="override the config seed")
@@ -409,16 +408,10 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as err:
+    except (CheckpointError, ValueError, OSError) as err:  # DataError too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -20,6 +20,9 @@ filled so far, one index op each, and a semiring ``combine`` reduces their
 * :func:`tree_entropy`, exact entropy (expectation semiring),
 * :func:`viterbi`, the argmax tree (max).
 
+Trees are span arrays [n, T-1, 2] (see :mod:`urnng.treebank`); :func:`_walk`
+builds them for both the sampler and Viterbi.
+
 :class:`InferenceNetwork` produces the scores from a bidirectional LSTM over
 the sentence, gathering the features of all spans from its outputs at once;
 the chart functions accept scores from any source, which is how the oracle
@@ -35,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .treebank import DataError, TreeRepr
+from .treebank import DataError, TreeRepr, span_array
 
 
 @lru_cache(maxsize=None)
@@ -51,13 +54,14 @@ def span_index(length: int, i, j):
 
 
 def span_indicator(trees, length: int) -> np.ndarray:
-    """0/1 matrix [n_trees, n_spans] marking each tree's spans."""
-    out = np.zeros((len(trees), length * (length + 1) // 2))
-    for row, tree in enumerate(trees):
-        if tree.length != length:
-            raise ValueError(
-                f"tree of length {tree.length} in a length-{length} batch")
-        out[row, span_index(length, *np.array(list(tree.spans)).T)] = 1.0
+    """0/1 matrix [n_trees, n_spans] marking the spans of trees given as
+    wide-span arrays [n, T-1, 2] (or ``TreeRepr``s), singletons included."""
+    spans = span_array(trees, length)
+    out = np.zeros((len(spans), length * (length + 1) // 2))
+    out[np.arange(len(spans))[:, None],
+        span_index(length, spans[..., 0], spans[..., 1])] = 1.0
+    i = np.arange(1, length + 1)
+    out[:, span_index(length, i, i)] = 1.0
     return out
 
 
@@ -164,32 +168,39 @@ def inside(scores: SpanScores) -> Chart:
     return Chart(scores, log_z, split_lw)
 
 
-def _build_tree(length: int, split) -> TreeRepr:
-    """The tree whose span (i, j) splits at ``split(i, j)``.
+def _walk(t: int, n: int, choose) -> np.ndarray:
+    """Split the spans of n trees top-down, right child first, in lockstep.
 
-    Internal spans are visited top-down, right child first, which is the
-    order in which :func:`sample_trees` draws their split points.
+    At step d every tree pops the next internal span (i, j) off its agenda
+    and ``choose(d, i, j)`` returns the split points k, one per tree.
+    Returns the trees in the array form [n, T-1, 2], spans sorted per row.
     """
-    spans: set[tuple[int, int]] = set()
-    agenda = [(1, length)]
-    while agenda:
-        i, j = agenda.pop()
-        spans.add((i, j))
-        if i < j:
-            k = split(i, j)
-            agenda.append((i, k))
-            agenda.append((k + 1, j))
-    return TreeRepr(length, frozenset(spans))
+    # each tree's agenda of spans still to split, popped from the top
+    lo, hi = np.ones((n, t), np.int64), np.full((n, t), t, np.int64)
+    top = np.ones(n, np.int64)
+    spans = np.empty((n, t - 1, 2), np.int64)
+    tree = np.arange(n)
+    for d in range(t - 1):
+        top -= 1
+        i, j = lo[tree, top], hi[tree, top]
+        k = choose(d, i, j)
+        spans[:, d, 0], spans[:, d, 1] = i, j
+        lo[tree, top], hi[tree, top] = i, k
+        top += k > i
+        lo[tree, top], hi[tree, top] = k + 1, j
+        top += j > k + 1
+    order = np.argsort(span_index(t, spans[..., 0], spans[..., 1]), axis=1)
+    return np.take_along_axis(spans, order[..., None], axis=1)
 
 
 def sample_trees(chart: Chart, rng: np.random.Generator,
-                 rows) -> tuple[list[TreeRepr], np.ndarray]:
+                 rows) -> tuple[np.ndarray, np.ndarray]:
     """Draw tree s exactly from chart batch row ``rows[s]``, all in lockstep.
 
-    Returns the distinct trees in order of first draw and, per draw, the
-    index of its tree.  Every tree has T-1 internal spans and takes one
-    uniform per internal span in :func:`_build_tree`'s visiting order, so
-    the draws and the generator's end state equal those of drawing the
+    Returns the distinct trees in the array form [n_distinct, T-1, 2], in
+    order of first draw, and per draw the index of its tree.  Every tree
+    takes one uniform per internal span in :func:`_walk`'s visiting order,
+    so the draws and the generator's end state equal those of drawing the
     trees one after another.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -207,66 +218,49 @@ def sample_trees(chart: Chart, rng: np.random.Generator,
         cdfs.append(np.cumsum(p, axis=1))
         cdfs[w] /= cdfs[w][:, -1:]
     u = rng.random((n, t - 1))
-    # each draw's agenda of spans still to split, popped from the top
-    lo, hi = np.ones((n, t), np.int64), np.full((n, t), t, np.int64)
-    top = np.ones(n, np.int64)
-    splits = np.empty((n, t - 1), np.int64)
-    draw = np.arange(n)
-    for d in range(t - 1):
-        top -= 1
-        i, j = lo[draw, top], hi[draw, top]
-        width = j - i + 1
+
+    def choose(d, i, j):
+        k, width = np.empty_like(i), j - i + 1
         for w in np.unique(width):
             m = np.flatnonzero(width == w)
             cdf = cdfs[w][(i[m] - 1) * batch + rows[m]]
             # searchsorted(side="right") on each non-decreasing row
-            splits[m, d] = i[m] + (cdf <= u[m, d, None]).sum(axis=1)
-        k = splits[:, d]
-        lo[draw, top], hi[draw, top] = i, k
-        top += k > i
-        lo[draw, top], hi[draw, top] = k + 1, j
-        top += j > k + 1
-    _, first, which = np.unique(splits, axis=0, return_index=True,
-                                return_inverse=True)
-    order = np.argsort(first)  # distinct split rows by first draw
-    trees = []
-    for s in first[order]:
-        points = iter(splits[s].tolist())
-        trees.append(_build_tree(t, lambda i, j: next(points)))
-    return trees, np.argsort(order)[which.reshape(-1)]
+            k[m] = i[m] + (cdf <= u[m, d, None]).sum(axis=1)
+        return k
+
+    spans = _walk(t, n, choose)
+    _, first, which = np.unique(spans.reshape(n, -1), axis=0,
+                                return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct trees by first draw
+    return spans[first[order]], np.argsort(order)[which.reshape(-1)]
 
 
 def sample_tree(chart: Chart, rng: np.random.Generator,
                 b: int = 0) -> tuple[TreeRepr, float]:
     """Draw one tree exactly from the chart distribution; returns (tree, log q)."""
-    (tree,), _ = sample_trees(chart, rng, [b])
-    return tree, tree_log_prob(chart, tree, b)
+    spans, _ = sample_trees(chart, rng, [b])
+    return TreeRepr.from_array(spans[0]), tree_log_prob(chart, spans[0], b)
 
 
-def tree_log_prob(chart: Chart, tree: TreeRepr, b: int = 0) -> float:
-    """Exact log q(tree) under the chart's score table for batch row ``b``."""
-    if tree.length != chart.length:
-        raise ValueError(
-            f"tree length {tree.length} vs chart length {chart.length}")
-    spans = span_index(tree.length, *np.array(list(tree.spans)).T)
-    # summed one span at a time in ``tree.spans`` order
-    total = sum(chart.scores.flat.data[b, spans].tolist())
-    return float(total - chart.log_z.data[b])
+def tree_log_prob(chart: Chart, tree, b: int = 0) -> float:
+    """Exact log q(tree) under the chart's score table for batch row ``b``;
+    ``tree`` is a ``TreeRepr`` or its array form [T-1, 2]."""
+    return float(tree_log_prob_batch(chart, [tree], [b]).data[0])
 
 
-def tree_log_prob_batch(chart: Chart, trees: list[TreeRepr],
-                        rows: np.ndarray) -> Tensor:
-    """Differentiable log q for many trees at once, shape [len(trees)].
+def tree_log_prob_batch(chart: Chart, trees, rows) -> Tensor:
+    """Differentiable log q of trees [n, T-1, 2] at once, shape [n].
 
-    ``rows[r]`` names the chart batch row that scores ``trees[r]``; the same
-    row may appear many times (e.g. K samples per sentence).
+    ``rows[r]`` names the chart batch row that scores tree r; the same row
+    may appear many times (e.g. K samples per sentence).  Each log q sums
+    the row's scores in ``span_order``, masked by :func:`span_indicator`.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if len(trees) != rows.shape[0]:
-        raise ValueError(f"{len(trees)} trees vs {rows.shape[0]} rows")
-    picks = Tensor(span_indicator(trees, chart.length))
+    picks = span_indicator(trees, chart.length)
+    if len(picks) != rows.shape[0]:
+        raise ValueError(f"{len(picks)} trees vs {rows.shape[0]} rows")
     scored = ad.sum_axis(ad.mul(ad.take_rows(chart.scores.flat, rows),
-                                picks), 1)
+                                Tensor(picks)), 1)
     return ad.sub(scored, ad.take_rows(chart.log_z, rows))
 
 
@@ -294,16 +288,18 @@ def viterbi(scores: SpanScores, b: int = 0) -> tuple[TreeRepr, float]:
     """
     t = scores.length
     diags = SpanScores(t, Tensor(scores.flat.data[[b]])).diagonals()
-    back: list[np.ndarray | None] = [None, None]
+    split = np.zeros(len(span_order(t)), np.int64)  # best k per span
 
     def combine(w: int, pairs: Tensor) -> Tensor:
+        i = np.arange(1, t - w + 2)
         # argmax over the reversed split axis, so the largest split wins ties
-        back.append(w - 2 - np.argmax(pairs.data[::-1], axis=0))
+        split[span_index(t, i, i + w - 1)] = (
+            i + w - 2 - np.argmax(pairs.data[::-1], axis=0))
         return Tensor(diags[w].data + pairs.data.max(axis=0))
 
     best = _fill_chart(diags[1], t, 1, combine)
-    tree = _build_tree(t, lambda i, j: i + int(back[j - i + 1][i - 1]))
-    return tree, float(best.data[0])
+    spans = _walk(t, 1, lambda d, i, j: split[span_index(t, i, j)])
+    return TreeRepr.from_array(spans[0]), float(best.data[0])
 
 
 class InferenceNetwork:

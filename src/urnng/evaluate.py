@@ -21,9 +21,10 @@ import numpy as np
 from .autodiff import NumericError
 from .checkpoint import atomic_write_text
 from .crf import (InferenceNetwork, flatten, inside, sample_trees,
-                  tree_entropy, tree_log_prob, viterbi)
+                  tree_entropy, tree_log_prob_batch, viterbi)
 from .rnng import GenerativeModel
-from .treebank import DataError, ParseNode, Sentence, TreeRepr, count_trees
+from .treebank import (DataError, ParseNode, Sentence, TreeRepr,
+                       count_trees, tree_actions)
 
 DEFAULT_LABELS = ("NP", "VP", "PP", "SBAR", "ADJP", "ADVP")
 
@@ -68,14 +69,15 @@ def _sampled_joints(model: GenerativeModel, ids: np.ndarray, chart,
     Returns the distinct trees' terminal and action log-likelihoods and log q
     (in order of first draw), and which of them each draw is.
     """
-    trees, which = sample_trees(chart, rng, np.zeros(k, dtype=np.int64))
-    log_qs = np.array([tree_log_prob(chart, tree) for tree in trees])
-    terminal, action = np.empty(len(trees)), np.empty(len(trees))
-    for lo in range(0, len(trees), 256):
-        chunk = trees[lo:lo + 256]
-        acts = np.array([tree.actions for tree in chunk], dtype=np.int64)
+    spans, which = sample_trees(chart, rng, np.zeros(k, dtype=np.int64))
+    log_qs = tree_log_prob_batch(chart, spans, np.zeros(len(spans),
+                                                         np.int64)).data
+    acts = tree_actions(spans, chart.length)
+    terminal, action = np.empty(len(acts)), np.empty(len(acts))
+    for lo in range(0, len(acts), 256):
+        chunk = acts[lo:lo + 256]
         term_t, act_t = model.joint_log_likelihood_batch(
-            np.tile(ids[None], (len(chunk), 1)), acts)
+            np.tile(ids[None], (len(chunk), 1)), chunk)
         terminal[lo:lo + len(chunk)] = term_t.data
         action[lo:lo + len(chunk)] = act_t.data
     return terminal, action, which, log_qs

@@ -30,7 +30,7 @@ from .crf import (InferenceNetwork, inside, sample_trees, tree_entropy,
 from .optim import SGD, Adam
 from .rnng import RNNLM, GenerativeModel
 from .treebank import (DataError, Sentence, TreeRepr, left_branching,
-                       random_tree, right_branching)
+                       random_tree, right_branching, tree_actions)
 
 MODES = ("urnng", "supervised", "lm", "trivial-left", "trivial-right",
          "trivial-random", "finetune")
@@ -183,16 +183,9 @@ def append_metrics(path, record: dict) -> None:
 
 def _split_corpus(data):
     """Accept [Sentence] or [(Sentence, TreeRepr)]; return (sentences, trees)."""
-    sentences, trees = [], []
-    for item in data:
-        if isinstance(item, Sentence):
-            sentences.append(item)
-            trees.append(None)
-        else:
-            sentence, tree = item
-            sentences.append(sentence)
-            trees.append(tree)
-    return sentences, trees
+    pairs = [(item, None) if isinstance(item, Sentence) else item
+             for item in data]
+    return [s for s, _ in pairs], [tree for _, tree in pairs]
 
 
 class Trainer:
@@ -258,10 +251,9 @@ class Trainer:
             chart = inside(scores)
             entropy = tree_entropy(chart)
             rows = np.tile(np.arange(n), k)
-            trees, which = sample_trees(chart, self.rng, rows)
+            spans, which = sample_trees(chart, self.rng, rows)
             ids_rep = np.tile(ids, (k, 1))
-            acts = np.array([tree.actions for tree in trees],
-                            dtype=np.int64)[which]
+            acts = tree_actions(spans, t_len)[which]
             terminal, action = self.model.joint_log_likelihood_batch(
                 ids_rep, acts, rng=self.rng)
             theta_loss = ad.scale(
@@ -276,8 +268,7 @@ class Trainer:
             if train_phi:
                 reward = (terminal.data + anneal * action.data).reshape(k, n)
                 advantage = (reward - leave_one_out(reward)).reshape(k * n)
-                log_q = tree_log_prob_batch(
-                    chart, [trees[s] for s in which], rows)
+                log_q = tree_log_prob_batch(chart, spans[which], rows)
                 phi_loss = ad.add(
                     ad.scale(ad.sum_all(ad.mul(log_q, Tensor(advantage))),
                              -1.0 / (k * n)),
@@ -307,7 +298,7 @@ class Trainer:
         n, t_len = ids.shape
         if len(trees) != n or any(t is None for t in trees):
             raise DataError("every sentence needs a tree")
-        acts = np.array([tree.actions for tree in trees], dtype=np.int64)
+        acts = tree_actions(trees, t_len)
         with Tape() as tape:
             terminal, action = self.model.joint_log_likelihood_batch(
                 ids, acts, rng=self.rng)
@@ -408,9 +399,8 @@ class Trainer:
             scores = self.inference.span_scores(ids)
             chart = inside(scores)
             entropy = tree_entropy(chart).data
-            trees, which = sample_trees(chart, rng, np.arange(n))
-            acts = np.array([tree.actions for tree in trees],
-                            dtype=np.int64)[which]
+            spans, which = sample_trees(chart, rng, np.arange(n))
+            acts = tree_actions(spans, t_len)[which]
             terminal, action = self.model.joint_log_likelihood_batch(ids, acts)
             elbo += float(
                 (terminal.data + action.data + entropy).sum())
@@ -431,7 +421,7 @@ class Trainer:
         total = 0.0
         tokens = 0
         for chunk, ids in self._eval_batches(sentences):
-            acts = np.array([trees[i].actions for i in chunk])
+            acts = tree_actions([trees[i] for i in chunk], ids.shape[1])
             terminal, action = self.model.joint_log_likelihood_batch(ids, acts)
             total += float((terminal.data + action.data).sum())
             tokens += ids.size

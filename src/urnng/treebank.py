@@ -5,9 +5,14 @@ Span indices are 1-based and inclusive throughout: ``(i, j)`` covers words
 ``T`` words is fully determined by its span set, which always contains the
 ``T`` singletons and the full-sentence span, ``2T - 1`` spans in total.
 
+Inside the library n trees are one int64 array [n, T-1, 2]: each tree's wide
+spans (width >= 2), sorted, so equal trees have equal rows.
+``np.asarray(trees)`` turns a list of :class:`TreeRepr` into it, and
+:meth:`TreeRepr.from_array` turns one row back into the object.
+
 The same tree can be written as a shift/reduce action sequence: SHIFT pushes
 the next word, REDUCE merges the top two stack elements.  ``tree_to_actions``
-and ``actions_to_tree`` are exact inverses.
+and ``actions_to_tree`` are exact inverses; :func:`tree_actions` takes arrays.
 """
 
 from __future__ import annotations
@@ -64,32 +69,27 @@ class TreeRepr:
         if (1, t) not in self.spans:
             raise ValueError(f"missing root span (1, {t})")
         for (i, j) in self.spans:
-            if i < j:
-                self.split(i, j)
+            if i < j and not any((i, k) in self.spans and (k + 1, j) in
+                                 self.spans for k in range(i, j)):
+                raise ValueError(
+                    f"span ({i}, {j}) does not split into two children")
 
-    def split(self, i: int, j: int) -> int:
-        """Return the k with children ``(i, k)`` and ``(k+1, j)`` in the tree."""
-        for k in range(i, j):
-            if (i, k) in self.spans and (k + 1, j) in self.spans:
-                return k
-        raise ValueError(f"span ({i}, {j}) does not split into two children")
+    @classmethod
+    def from_array(cls, wide) -> "TreeRepr":
+        """The tree whose wide spans are the rows of ``wide`` [T-1, 2]."""
+        t = len(wide) + 1
+        return cls(t, frozenset(map(tuple, np.asarray(wide).tolist()))
+                   | {(i, i) for i in range(1, t + 1)})
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The wide spans as an array [T-1, 2] of ``(i, j)`` rows, sorted."""
+        return np.array(self.wide_spans, dtype=dtype or np.int64).reshape(
+            self.length - 1, 2)
 
     @cached_property
     def actions(self) -> tuple[int, ...]:
         """Shift/reduce linearization; length is always ``2 * length - 1``."""
-        out: list[int] = []
-
-        def visit(i: int, j: int) -> None:
-            if i == j:
-                out.append(SHIFT)
-                return
-            k = self.split(i, j)
-            visit(i, k)
-            visit(k + 1, j)
-            out.append(REDUCE)
-
-        visit(1, self.length)
-        return tuple(out)
+        return tuple(tree_actions([self], self.length)[0].tolist())
 
     @property
     def wide_spans(self) -> tuple[tuple[int, int], ...]:
@@ -100,14 +100,37 @@ class TreeRepr:
         if len(words) != self.length:
             raise ValueError(
                 f"tree covers {self.length} words, got {len(words)} tokens")
+        stack, pos = [], 0
+        for a in self.actions:
+            if a == SHIFT:
+                stack.append(f"({label} {words[pos]})")
+                pos += 1
+            else:
+                stack[-2:] = [f"({label} {stack[-2]} {stack[-1]})"]
+        return stack[0]
 
-        def render(i: int, j: int) -> str:
-            if i == j:
-                return f"({label} {words[i - 1]})"
-            k = self.split(i, j)
-            return f"({label} {render(i, k)} {render(k + 1, j)})"
 
-        return render(1, self.length)
+def span_array(trees, length: int) -> np.ndarray:
+    """``trees`` as the array form, checked to be over ``length`` words."""
+    spans = np.asarray(trees, dtype=np.int64)
+    if spans.shape[1:] != (length - 1, 2):
+        got = (f"length {spans.shape[1] + 1}" if spans.ndim == 3
+               else f"shape {spans.shape}")
+        raise ValueError(f"tree of {got} in a length-{length} batch")
+    return spans
+
+
+def tree_actions(trees, length: int) -> np.ndarray:
+    """Shift/reduce sequences [n, 2T-1] of trees in the array form: word
+    p's SHIFT is followed by one REDUCE per wide span that ends at p."""
+    spans = span_array(trees, length)
+    rows = np.arange(len(spans))[:, None]
+    ends = np.zeros((len(spans), length + 1), np.int64)
+    np.add.at(ends, (rows, spans[..., 1]), 1)
+    shifts = np.arange(length) + np.cumsum(ends, axis=1)[:, :-1]
+    out = np.full((len(spans), 2 * length - 1), REDUCE, np.int64)
+    out[rows, shifts] = SHIFT
+    return out
 
 
 def tree_to_actions(tree: TreeRepr) -> tuple[int, ...]:
@@ -286,10 +309,7 @@ class ParseNode:
     def leaves(self) -> list[str]:
         if self.is_preterminal:
             return [self.word]
-        out: list[str] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+        return [word for child in self.children for word in child.leaves()]
 
     def constituents(self) -> list[tuple[int, int, str]]:
         """(i, j, label) for every non-preterminal node, preorder."""
@@ -310,9 +330,7 @@ class ParseNode:
 
 def parse_sexprs(text: str, source: str = "<string>") -> list[ParseNode]:
     """Parse one or more bracketed trees from ``text``."""
-    tokens: list[str] = []
-    for raw in text.replace("(", " ( ").replace(")", " ) ").split():
-        tokens.append(raw)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     trees: list[ParseNode] = []
     pos = 0
 

@@ -29,9 +29,7 @@ class PropertyResult:
 
 def _random_scores(rng: np.random.Generator, length: int) -> SpanScores:
     table = np.zeros((length, length))
-    for i in range(length):
-        for j in range(i, length):
-            table[i, j] = rng.normal()
+    table[np.triu_indices(length)] = rng.normal(size=length * (length + 1) // 2)
     return SpanScores.from_table(table)
 
 

@@ -10,7 +10,8 @@ from urnng import nn, oracle
 from urnng.autodiff import NumericError, Tape, Tensor, grad_check
 from urnng.crf import (Chart, InferenceNetwork, SpanScores, flatten, inside,
                        sample_tree, sample_trees, span_index, span_indicator,
-                       span_order, tree_entropy, tree_log_prob, viterbi)
+                       span_order, tree_entropy, tree_log_prob,
+                       tree_log_prob_batch, viterbi)
 from urnng.treebank import DataError, TreeRepr, count_trees, left_branching
 
 
@@ -44,14 +45,13 @@ def assert_same_draws(chart, rows, seed):
     leaves the generator in the same state."""
     want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
     want = [reference_sample_tree(chart, want_rng, b) for b in rows]
-    trees, which = sample_trees(chart, got_rng, rows)
+    spans, which = sample_trees(chart, got_rng, rows)
     index = {}
     assert [index.setdefault(tree, len(index)) for tree in want] == \
         which.tolist()
-    assert trees == list(index)
-    # same spans in the same set order, so span sums run in the same order
-    assert [list(trees[s].spans) for s in which] == \
-        [list(tree.spans) for tree in want]
+    # the distinct trees in order of first draw, as arrays
+    assert np.array_equal(spans, np.asarray(list(index)))
+    assert np.array_equal(spans[which], np.asarray(want))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -499,3 +499,27 @@ def test_span_indicator_marks_all_tree_spans():
     order = span_order(3)
     marked = {order[i] for i in np.flatnonzero(ind[0])}
     assert marked == set(tree.spans)
+
+
+@pytest.mark.parametrize("t", [3, 5])
+def test_length_mismatch_names_both_lengths(t):
+    chart = inside(zero_scores(4, batch=2))
+    message = f"tree of length {t} in a length-4 batch"
+    for trees in ([left_branching(t)], np.asarray([left_branching(t)])):
+        with pytest.raises(ValueError, match=message):
+            span_indicator(trees, 4)
+        with pytest.raises(ValueError, match=message):
+            tree_log_prob_batch(chart, trees, [1])
+        with pytest.raises(ValueError, match=message):
+            tree_log_prob(chart, trees[0])
+
+
+def test_one_word_sentences_sample_empty_span_rows():
+    chart = inside(random_scores(1, np.random.default_rng(0), batch=2))
+    spans, which = sample_trees(chart, np.random.default_rng(1), [0, 1, 1])
+    assert spans.shape == (1, 0, 2) and which.tolist() == [0, 0, 0]
+    np.testing.assert_allclose(
+        tree_log_prob_batch(chart, spans[which], [0, 1, 1]).data, 0.0,
+        atol=1e-12)
+    tree, _ = viterbi(chart.scores)
+    assert tree == TreeRepr(1, frozenset({(1, 1)}))

@@ -12,6 +12,7 @@ from urnng import cli
 from urnng.checkpoint import (MAGIC, VERSION, CheckpointError,
                               atomic_write_bytes, load_checkpoint,
                               save_checkpoint)
+from urnng.crf import inside, tree_log_prob
 from urnng.synth import Grammar, format_tree, synth_corpus, write_corpus
 from urnng.treebank import DataError, parse_sexprs, binarize_right
 
@@ -313,6 +314,28 @@ class TestCliContracts:
         n_valid = len((workspace / "valid.tokens").read_text().splitlines())
         assert len(lines) == 3 * n_valid
         assert lines[0].split("\t")[0] == "0"
+
+    def test_sample_prints_the_log_q_of_each_printed_tree(self, workspace,
+                                                          capsys):
+        ckpt = str(workspace / "run" / "last.ckpt")
+        corpus = workspace / "valid.tokens"
+        assert cli.main(["sample", "--corpus", str(corpus),
+                         "--checkpoint", ckpt, "--samples", "4",
+                         "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        trainer, vocab = cli._load_trainer(ckpt)
+        sentences = cli._load_corpus(corpus, vocab, with_trees=False)
+        assert len(lines) == 4 * len(sentences)
+        for line in lines:
+            index, log_q, bracketed = line.split("\t")
+            sentence = sentences[int(index)]
+            parsed = parse_sexprs(bracketed)[0]
+            assert parsed.leaves() == list(sentence.words)
+            ids = np.asarray(sentence.ids, dtype=np.int64)[None]
+            chart = inside(trainer.inference.span_scores(ids))
+            assert tree_log_prob(chart, binarize_right(parsed)) == \
+                pytest.approx(float(log_q), abs=5e-7)
+            assert float(log_q) <= 0.0
 
     def test_generate_emits_n_lines(self, workspace, capsys):
         assert cli.main(["generate",

@@ -480,3 +480,24 @@ class TestTrainLoop:
         records = trainer.train(self.corpus(16, 17), self.corpus(6, 18))
         assert records[1]["val_metric"] > records[0]["val_metric"] - 0.5
         assert all(np.isfinite(r["train_ll_per_token"]) for r in records)
+
+
+def test_sampled_trees_stay_arrays_on_hot_paths(monkeypatch):
+    """elbo_step, ELBO validation and IW scoring build no TreeRepr."""
+    from urnng import evaluate
+    from urnng.treebank import TreeRepr
+
+    cfg = tiny_config()
+    model, inference = build_models(cfg, 12, rng=np.random.default_rng(0))
+    trainer = Trainer(model, inference, cfg)
+    sentences = make_sentences(4, [6], 12, seed=4)
+    built = []
+    check = TreeRepr.__post_init__
+    monkeypatch.setattr(TreeRepr, "__post_init__",
+                        lambda tree: built.append(tree) or check(tree))
+    trainer.elbo_step(np.array([s.ids for s in sentences]))
+    trainer.validate(sentences)
+    ids = np.asarray(sentences[0].ids)
+    chart = inside(inference.span_scores(ids[None]))
+    evaluate._sampled_joints(model, ids, chart, np.random.default_rng(1), 50)
+    assert built == []

@@ -1,5 +1,8 @@
 """Tree representation, action bijection, vocabulary, and file IO tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from urnng.treebank import (REDUCE, SHIFT, DataError, ParseNode, Sentence,
                             make_sentence, parse_sexprs, random_tree,
                             read_bracketed, read_corpus, right_branching,
                             tree_to_actions)
+from urnng import oracle
+from urnng.crf import span_indicator, span_order
 
 S, R = SHIFT, REDUCE
 
@@ -261,3 +266,77 @@ class TestParseNodeSpans:
         tree, = parse_sexprs("(S (NP (D the) (N dog)) (VP (V barks)))")
         labels = [lab for (_, _, lab) in tree.constituents()]
         assert "D" not in labels and "NP" in labels
+
+
+def reference_actions(tree):
+    """Shift/reduce sequence by recursion over the tree's splits."""
+    def visit(i, j):
+        if i == j:
+            return [S]
+        k = next(k for k in range(i, j)
+                 if (i, k) in tree.spans and (k + 1, j) in tree.spans)
+        return visit(i, k) + visit(k + 1, j) + [R]
+    return tuple(visit(1, tree.length))
+
+
+class TestArrayForm:
+    """Trees as [n, T-1, 2] wide-span arrays against their TreeRepr."""
+
+    @staticmethod
+    def assert_agrees(trees, t):
+        wide = np.asarray(trees)
+        assert wide.shape == (len(trees), t - 1, 2)
+        assert wide.dtype == np.int64
+        acts = tb.tree_actions(wide, t)
+        marks = span_indicator(wide, t)
+        assert acts.shape == (len(trees), 2 * t - 1)
+        order = span_order(t)
+        for tree, row, act, mark in zip(trees, wide, acts, marks):
+            assert [tuple(span) for span in row.tolist()] == \
+                list(tree.wide_spans)
+            assert tuple(act.tolist()) == tree.actions == \
+                reference_actions(tree)
+            assert actions_to_tree(act.tolist(), t) == tree
+            assert TreeRepr.from_array(row) == tree
+            assert {order[c] for c in np.flatnonzero(mark)} == tree.spans
+            assert mark.sum() == 2 * t - 1
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_every_tree_up_to_length_8(self, t):
+        self.assert_agrees(oracle.enumerate_trees(t), t)
+
+    @settings(max_examples=25, deadline=None)
+    @given(t=st.integers(1, 150), n=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_trees(self, t, n, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_agrees([random_tree(t, rng) for _ in range(n)], t)
+
+    def test_one_word_trees_have_no_wide_spans(self):
+        trees = [TreeRepr(1, spans((1, 1)))] * 3
+        wide = np.asarray(trees)
+        assert wide.shape == (3, 0, 2)
+        assert tb.tree_actions(wide, 1).tolist() == [[S]] * 3
+        assert span_indicator(wide, 1).tolist() == [[1.0]] * 3
+        assert TreeRepr.from_array(wide[0]) == trees[0]
+        self.assert_agrees(trees, 1)
+
+    @pytest.mark.parametrize("t", [3, 5])
+    def test_tree_actions_rejects_other_lengths(self, t):
+        with pytest.raises(ValueError,
+                           match=f"tree of length {t} in a length-4 batch"):
+            tb.tree_actions([left_branching(t)], 4)
+
+
+def test_tree_is_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree = random_tree(30, np.random.default_rng(0))
+        assert len(tree.actions) == 59
+        ref = weakref.ref(tree)
+        del tree
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
