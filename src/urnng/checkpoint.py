@@ -84,17 +84,23 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err}") from err
 
+    try:
+        directory = [(entry["name"], tuple(map(int, entry["shape"])))
+                     for entry in header["arrays"]]
+        metadata = header["metadata"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: malformed header: {err!r}") from err
+
     arrays: dict[str, np.ndarray] = {}
     offset = 16 + header_len
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape in directory:
         size = 8 * int(np.prod(shape, dtype=np.int64))
         if offset + size > len(data):
             raise CheckpointError(
-                f"{path}: truncated payload at array {entry['name']!r}")
+                f"{path}: truncated payload at array {name!r}")
         flat = np.frombuffer(data[offset:offset + size], dtype="<f8")
-        arrays[entry["name"]] = flat.reshape(shape).astype(np.float64)
+        arrays[name] = flat.reshape(shape).astype(np.float64)
         offset += size
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
-    return arrays, header["metadata"]
+    return arrays, metadata

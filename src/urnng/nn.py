@@ -32,6 +32,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add_row(ad.matmul(x, w), b)
 
 
+def tied_word_log_prob(x: Tensor, emb: Tensor, b: Tensor, words) -> Tensor:
+    """log p(words[r] | x[r]) under a softmax whose output weights are the
+    transposed embedding table ``emb`` and whose bias is ``b``."""
+    logits = linear(x, ad.transpose(emb), b)
+    return ad.pick_per_row(ad.log_softmax(logits, axis=1), words)
+
+
 def lstm_cell(x: Tensor, state: tuple[Tensor, Tensor], w: Tensor,
               b: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step.  ``w`` is [(x_dim + hidden), 4 * hidden], gates i,f,o,g."""

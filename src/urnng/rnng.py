@@ -22,6 +22,11 @@ so the stack top after step t-1 is always the element pushed at step t-1, and
 one LSTM step per layer serves all rows at once.  The stack state is arrays
 indexed by stack position, so the state below each row's new element and the
 two children of every REDUCE row are each read with one index op.
+
+Neither head feeds back into the stack, so the step loop runs only the
+recurrence and keeps each step's stack top.  The action head then scores all
+steps in one pass, and the word head all SHIFT and EOS contexts in one
+tied-softmax pass; the RNNLM baseline scores its words the same way.
 """
 
 from __future__ import annotations
@@ -225,49 +230,34 @@ class GenerativeModel:
         if np.any((actions == SHIFT).sum(axis=1) != t_len):
             raise ValueError(f"every row must contain exactly {t_len} SHIFTs")
 
-        p = self.params
-        emb_t = ad.transpose(p["emb"])
+        # Only the recurrence runs per step.  Neither head feeds back into
+        # it, so both score every step's dropped-out stack top at the end.
         stepper = _Stepper(self, n, rng, t_len)
-        zero_one = Tensor(np.zeros(1))
-        action_terms = []
-        word_terms = []
-        for step in range(steps):
-            acts = actions[:, step]
-            free = (stepper.depth >= 2) & (stepper.words_used < t_len)
-            context = ad.dropout(stepper.top, self.dropout, rng)
-            if free.any():
-                logits = ad.add_broadcast(
-                    ad.matmul(context, p["gen.action_w"]), p["gen.action_b"])
-                signed = ad.mul(logits, Tensor(1.0 - 2.0 * acts))
-                action_terms.append(
-                    ad.mul(ad.softplus(signed),
-                           Tensor(-free.astype(np.float64))))
-            shift_rows = np.flatnonzero(acts == SHIFT)
-            if shift_rows.size:
-                ctx_rows = ad.take_rows(context, shift_rows)
-                logp = ad.log_softmax(
-                    ad.add_row(ad.matmul(ctx_rows, emb_t), p["gen.word_b"]),
-                    axis=1)
-                picked = ad.pick_per_row(
-                    logp, ids[shift_rows, stepper.words_used[shift_rows]])
-                spread = np.full(n, shift_rows.size, dtype=np.int64)
-                spread[shift_rows] = np.arange(shift_rows.size)
-                word_terms.append(
-                    ad.take_rows(ad.concat([picked, zero_one], 0), spread))
-            word_col = ids[np.arange(n), stepper.words_used % t_len]
-            stepper.step(acts, word_col)
+        contexts, free = [], []
+        for step in range(steps + 1):
+            free.append((stepper.depth >= 2) & (stepper.words_used < t_len))
+            contexts.append(ad.dropout(stepper.top, self.dropout, rng))
+            if step < steps:
+                stepper.step(actions[:, step],
+                             ids[stepper.rows, stepper.words_used % t_len])
+        context = ad.concat(contexts, axis=0)      # [(steps + 1) * n, dim]
 
-        context = ad.dropout(stepper.top, self.dropout, rng)
-        logp = ad.log_softmax(
-            ad.add_row(ad.matmul(context, emb_t), p["gen.word_b"]), axis=1)
-        word_terms.append(
-            ad.pick_per_row(logp, np.full(n, self.eos_id, dtype=np.int64)))
+        p = self.params
+        # the step after the final REDUCE has depth 1, so it is never free
+        sign = np.vstack([1.0 - 2.0 * actions.T, np.ones((1, n))])
+        logits = ad.add_broadcast(ad.matmul(context, p["gen.action_w"]),
+                                  p["gen.action_b"])
+        terms = ad.mul(ad.softplus(ad.mul(logits, Tensor(sign.ravel()))),
+                       Tensor(np.where(free, -1.0, 0.0).ravel()))
+        action = ad.sum_axis(ad.reshape(terms, (steps + 1, n)), 0)
 
-        terminal = ad.sum_axis(ad.stack0(word_terms), 0)
-        if action_terms:
-            action = ad.sum_axis(ad.stack0(action_terms), 0)
-        else:
-            action = Tensor(np.zeros(n))
+        # each word is read off the context before its SHIFT, EOS off the last
+        at = np.nonzero(actions == SHIFT)[1].reshape(n, t_len)
+        at = np.hstack([at, np.full((n, 1), steps)]).T * n + np.arange(n)
+        words = np.hstack([ids, np.full((n, 1), self.eos_id)]).T
+        word = nn.tied_word_log_prob(ad.take_rows(context, at.ravel()),
+                                     p["emb"], p["gen.word_b"], words.ravel())
+        terminal = ad.sum_axis(ad.reshape(word, (t_len + 1, n)), 0)
         return terminal, action
 
     def joint_log_likelihood(self, ids, tree_or_actions) -> tuple[float, float]:
@@ -407,17 +397,11 @@ class RNNLM:
         ids = np.asarray(ids, dtype=np.int64)
         n, t_len = ids.shape
         p = self.params
-        emb_t = ad.transpose(p["emb"])
         zero = nn.zeros((n, self.dim))
         states = [(zero, zero) for _ in range(self.layers)]
-        terms = []
+        contexts = []
         for pos in range(t_len + 1):
-            context = ad.dropout(states[-1][0], self.dropout, rng)
-            logp = ad.log_softmax(
-                ad.add_row(ad.matmul(context, emb_t), p["lm.word_b"]), axis=1)
-            target = (ids[:, pos] if pos < t_len
-                      else np.full(n, self.eos_id, dtype=np.int64))
-            terms.append(ad.pick_per_row(logp, target))
+            contexts.append(ad.dropout(states[-1][0], self.dropout, rng))
             if pos < t_len:
                 inp = ad.dropout(ad.take_rows(p["emb"], ids[:, pos]),
                                  self.dropout, rng)
@@ -427,4 +411,7 @@ class RNNLM:
                                                  p[f"lm.lstm_b{layer}"])
                     if layer + 1 < self.layers:
                         inp = ad.dropout(states[layer][0], self.dropout, rng)
-        return ad.sum_axis(ad.stack0(terms), 0)
+        words = np.hstack([ids, np.full((n, 1), self.eos_id)]).T
+        word = nn.tied_word_log_prob(ad.concat(contexts, axis=0), p["emb"],
+                                     p["lm.word_b"], words.ravel())
+        return ad.sum_axis(ad.reshape(word, (t_len + 1, n)), 0)

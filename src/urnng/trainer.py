@@ -587,12 +587,15 @@ class Trainer:
                     f"shape mismatch for {name!r}: saved "
                     f"{arrays[name].shape}, model {p.data.shape}")
             p.data = np.array(arrays[name], dtype=np.float64)
-        self.theta_opt.load_state("opt.theta", arrays)
-        if self.phi_opt is not None:
-            self.phi_opt.load_state("opt.phi", arrays)
-        self.epoch = int(metadata["epoch"])
-        self.global_batch = int(metadata["global_batch"])
-        self.best_val = float(metadata["best_val"])
-        self.best_epoch = int(metadata["best_epoch"])
-        self.phi_frozen = bool(metadata["phi_frozen"])
-        self.rng.bit_generator.state = metadata["rng_state"]
+        try:
+            self.theta_opt.load_state("opt.theta", arrays)
+            if self.phi_opt is not None:
+                self.phi_opt.load_state("opt.phi", arrays)
+            self.epoch = int(metadata["epoch"])
+            self.global_batch = int(metadata["global_batch"])
+            self.best_val = float(metadata["best_val"])
+            self.best_epoch = int(metadata["best_epoch"])
+            self.phi_frozen = bool(metadata["phi_frozen"])
+            self.rng.bit_generator.state = metadata["rng_state"]
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"malformed trainer state: {err!r}") from err

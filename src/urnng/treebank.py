@@ -179,18 +179,15 @@ def right_branching(length: int) -> TreeRepr:
 def random_tree(length: int, rng: np.random.Generator) -> TreeRepr:
     """Draw a tree uniformly from all binary trees over ``length`` words."""
     spans: set[tuple[int, int]] = set()
-
-    def build(i: int, j: int) -> None:
+    todo = [(1, length)]
+    while todo:                     # preorder: the left child draws first
+        i, j = todo.pop()
         spans.add((i, j))
-        if i == j:
-            return
-        weights = np.array([count_trees(k - i + 1) * count_trees(j - k)
-                            for k in range(i, j)], dtype=np.float64)
-        k = i + rng.choice(j - i, p=weights / weights.sum())
-        build(i, k)
-        build(k + 1, j)
-
-    build(1, length)
+        if i < j:
+            weights = np.array([count_trees(k - i + 1) * count_trees(j - k)
+                                for k in range(i, j)], dtype=np.float64)
+            k = i + rng.choice(j - i, p=weights / weights.sum())
+            todo += [(k + 1, j), (i, k)]
     return TreeRepr(length, frozenset(spans))
 
 
@@ -312,20 +309,24 @@ class ParseNode:
         return [word for child in self.children for word in child.leaves()]
 
     def constituents(self) -> list[tuple[int, int, str]]:
-        """(i, j, label) for every non-preterminal node, preorder."""
-        out: list[tuple[int, int, str]] = []
+        """(i, j, label) for every non-preterminal node, sorted."""
+        phrases: list = []
+        _phrases(self, 0, phrases)
+        return sorted((i, j, node.label) for node, i, j, _ in phrases)
 
-        def visit(node: "ParseNode", start: int) -> int:
-            if node.is_preterminal:
-                return start + 1
-            pos = start
-            for child in node.children:
-                pos = visit(child, pos)
-            out.append((start + 1, pos, node.label))
-            return pos
 
-        visit(self, 0)
-        return sorted(out)
+def _phrases(node: ParseNode, start: int, out: list) -> int:
+    """Append (node, i, j, first word of each child) for every
+    non-preterminal node under ``node``, which begins after word ``start``,
+    in postorder; return the position of its last word."""
+    if node.is_preterminal:
+        return start + 1
+    starts, end = [], start
+    for child in node.children:
+        starts.append(end + 1)
+        end = _phrases(child, end, out)
+    out.append((node, start + 1, end, starts))
+    return end
 
 
 def parse_sexprs(text: str, source: str = "<string>") -> list[ParseNode]:
@@ -333,49 +334,51 @@ def parse_sexprs(text: str, source: str = "<string>") -> list[ParseNode]:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     trees: list[ParseNode] = []
     pos = 0
-
-    def parse_node() -> ParseNode:
-        nonlocal pos
-        if tokens[pos] != "(":
-            raise DataError(f"{source}: expected '(' at token {pos}, "
-                            f"got {tokens[pos]!r}")
-        pos += 1
-        label = ""
-        if pos < len(tokens) and tokens[pos] not in ("(", ")"):
-            label = tokens[pos]
-            pos += 1
-        children: list[ParseNode] = []
-        words: list[str] = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                children.append(parse_node())
-            else:
-                words.append(tokens[pos])
-                pos += 1
-        if pos >= len(tokens):
-            raise DataError(f"{source}: unbalanced parentheses (missing ')')")
-        pos += 1
-        if words and children:
-            raise DataError(
-                f"{source}: node {label!r} mixes words and subtrees")
-        if words:
-            if len(words) != 1:
-                raise DataError(
-                    f"{source}: preterminal {label!r} has {len(words)} words")
-            return ParseNode(label, (), words[0])
-        if not children:
-            raise DataError(f"{source}: empty node {label!r}")
-        if label == "" and len(children) == 1:
-            return children[0]
-        return ParseNode(label or "TOP", tuple(children))
-
     while pos < len(tokens):
         if tokens[pos] == ")":
             raise DataError(f"{source}: unbalanced parentheses (stray ')')")
-        trees.append(parse_node())
+        tree, pos = _parse_node(tokens, pos, source)
+        trees.append(tree)
     if not trees:
         raise DataError(f"{source}: no trees found")
     return trees
+
+
+def _parse_node(tokens: list[str], pos: int,
+                source: str) -> tuple[ParseNode, int]:
+    """The node opened at ``tokens[pos]``, and the position after it."""
+    if tokens[pos] != "(":
+        raise DataError(f"{source}: expected '(' at token {pos}, "
+                        f"got {tokens[pos]!r}")
+    pos += 1
+    label = ""
+    if pos < len(tokens) and tokens[pos] not in ("(", ")"):
+        label = tokens[pos]
+        pos += 1
+    children: list[ParseNode] = []
+    words: list[str] = []
+    while pos < len(tokens) and tokens[pos] != ")":
+        if tokens[pos] == "(":
+            child, pos = _parse_node(tokens, pos, source)
+            children.append(child)
+        else:
+            words.append(tokens[pos])
+            pos += 1
+    if pos >= len(tokens):
+        raise DataError(f"{source}: unbalanced parentheses (missing ')')")
+    pos += 1
+    if words and children:
+        raise DataError(f"{source}: node {label!r} mixes words and subtrees")
+    if words:
+        if len(words) != 1:
+            raise DataError(
+                f"{source}: preterminal {label!r} has {len(words)} words")
+        return ParseNode(label, (), words[0]), pos
+    if not children:
+        raise DataError(f"{source}: empty node {label!r}")
+    if label == "" and len(children) == 1:
+        return children[0], pos
+    return ParseNode(label or "TOP", tuple(children)), pos
 
 
 def read_trees(path) -> list[ParseNode]:
@@ -398,22 +401,11 @@ def binarize_right(tree: ParseNode) -> TreeRepr:
     """Collapse unary chains and right-binarize n-ary nodes into a TreeRepr."""
     length = len(tree.leaves())
     spans: set[tuple[int, int]] = {(i, i) for i in range(1, length + 1)}
-
-    def visit(node: ParseNode, start: int) -> int:
-        if node.is_preterminal:
-            return start + 1
-        child_starts: list[int] = []
-        pos = start
-        for child in node.children:
-            child_starts.append(pos + 1)
-            pos = visit(child, pos)
-        end = pos
-        if end > start + 1:
-            spans.add((start + 1, end))
+    phrases: list = []
+    _phrases(tree, 0, phrases)
+    for _, i, j, starts in phrases:
+        if j > i:
+            spans.add((i, j))
             # Grouping children 2..n, 3..n, ... reproduces right binarization.
-            for s in child_starts[1:-1]:
-                spans.add((s, end))
-        return pos
-
-    visit(tree, 0)
+            spans.update((s, j) for s in starts[1:-1])
     return TreeRepr(length, frozenset(spans))

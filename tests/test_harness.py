@@ -409,6 +409,43 @@ class TestCliExitCodes:
                          str(workspace / "valid.tokens"),
                          "--checkpoint", str(bad)]) == 2
 
+    @pytest.mark.parametrize("damage", [
+        "no-arrays", "no-metadata", "no-shape", "list-header",
+        "no-optimizer-array", "no-counter"])
+    def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path,
+                                                capsys, damage):
+        data = (workspace / "run" / "last.ckpt").read_bytes()
+        (size,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16:16 + size])
+        payload = data[16 + size:]
+        if damage == "no-arrays":
+            del header["arrays"]
+        elif damage == "no-metadata":
+            del header["metadata"]
+        elif damage == "no-shape":
+            del header["arrays"][0]["shape"]
+        elif damage == "list-header":
+            header = [header]
+        if damage in ("no-optimizer-array", "no-counter"):
+            arrays, meta = load_checkpoint(workspace / "run" / "last.ckpt")
+            missing = "opt.theta.lr.emb"
+            if damage == "no-optimizer-array":
+                del arrays[missing]
+            else:
+                missing = "epoch"
+                del meta["trainer"][missing]
+            save_checkpoint(tmp_path / "bad.ckpt", arrays, meta)
+        else:
+            blob = json.dumps(header).encode("utf-8")
+            (tmp_path / "bad.ckpt").write_bytes(
+                data[:8] + struct.pack("<Q", len(blob)) + blob + payload)
+            missing = {"no-shape": "shape", "no-metadata": "metadata",
+                       "list-header": "malformed header"}.get(damage, "arrays")
+        assert cli.main(["parse", "--corpus",
+                         str(workspace / "valid.tokens"),
+                         "--checkpoint", str(tmp_path / "bad.ckpt")]) == 2
+        assert missing in capsys.readouterr().err
+
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         from urnng.verify import PropertyResult
         monkeypatch.setattr(

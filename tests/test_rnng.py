@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import urnng.autodiff as ad
-from urnng import oracle
+from urnng import nn, oracle, rnng
 from urnng.autodiff import Tape, grad_check
 from urnng.rnng import RNNLM, GenerativeModel
 from urnng.treebank import (REDUCE, SHIFT, left_branching, random_tree,
@@ -420,3 +420,86 @@ class TestArrayStack:
             assert (out.truncated, out.eos_at_root) == (truncated,
                                                         eos_at_root)
             assert out.log_likelihood == pytest.approx(log_lik, rel=1e-13)
+
+
+class TestHeadsAfterRecurrence:
+    """Both language models run only the recurrence per step and score the
+    word and action heads once after it."""
+
+    def test_taped_dropout_values_and_draws_are_recorded(self):
+        # recorded from the scorer that ran both heads inside the step loop;
+        # moving the heads must keep every dropout draw, in the same order
+        model = GenerativeModel(8, dim=5, rng=np.random.default_rng(43))
+        rng = np.random.default_rng(44)
+        ids = rng.integers(2, 8, size=(4, 6))
+        acts = np.array([random_tree(6, rng).actions for _ in range(4)])
+        assert acts.tolist() == [[S, S, S, R, R, S, R, S, R, S, R],
+                                 [S, S, S, R, R, S, S, R, R, S, R],
+                                 [S, S, S, S, R, R, S, S, R, R, R],
+                                 [S, S, S, S, R, R, S, R, S, R, R]]
+        drop = np.random.default_rng(45)
+        with Tape():
+            terminal, action = model.joint_log_likelihood_batch(ids, acts,
+                                                                rng=drop)
+        assert terminal.data.tolist() == [
+            -14.577197586823836, -14.58342715404257, -14.393479795943644,
+            -14.696416869549438]
+        assert action.data.tolist() == [
+            -3.359280359942473, -4.089578496917401, -4.239580129859169,
+            -4.9020638513223425]
+        assert drop.bit_generator.state["state"]["state"] == \
+            182893022443928212434857477131515051837
+
+        lm = RNNLM(8, dim=5, rng=np.random.default_rng(46))
+        drop = np.random.default_rng(47)
+        with Tape():
+            ll = lm.log_likelihood_batch(ids, rng=drop)
+        assert ll.data.tolist() == [
+            -14.59955657588124, -14.501054339074248, -14.73996668535749,
+            -14.380280339002363]
+        assert drop.bit_generator.state["state"]["state"] == \
+            339293452291197101937960001850273556942
+
+    def test_joint_heads_cost_the_same_nodes_at_any_length(self,
+                                                           monkeypatch):
+        model = tiny_model(seed=48, vocab=20, dim=4, dropout=0.0)
+        step = rnng._Stepper.step
+        in_steps = []
+
+        def counted(stepper, *args):
+            before = len(tape)
+            step(stepper, *args)
+            in_steps.append(len(tape) - before)
+
+        monkeypatch.setattr(rnng._Stepper, "step", counted)
+        outside = []
+        rng = np.random.default_rng(49)
+        for t in (12, 48):
+            ids = rng.integers(2, 20, size=(64, t))
+            acts = np.array([random_tree(t, rng).actions for _ in range(64)])
+            with Tape() as tape:
+                model.joint_log_likelihood_batch(ids, acts,
+                                                 rng=np.random.default_rng(0))
+            outside.append(len(tape) - sum(in_steps))
+            in_steps.clear()
+        assert outside[0] == outside[1]
+
+    def test_rnnlm_nodes_per_position_are_the_recurrence(self):
+        lm = RNNLM(20, dim=4, dropout=0.0, rng=np.random.default_rng(50))
+        p = lm.params
+        ids = np.random.default_rng(51).integers(2, 20, size=(64, 48))
+        with Tape() as tape:
+            inp = ad.take_rows(p["emb"], ids[:, 0])
+            zero = (nn.zeros((64, 4)), nn.zeros((64, 4)))
+            for layer in range(lm.layers):
+                inp, _ = nn.lstm_cell(inp, zero, p[f"lm.lstm_w{layer}"],
+                                      p[f"lm.lstm_b{layer}"])
+        recurrence = len(tape)
+
+        def nodes(t):
+            with Tape() as tape:
+                lm.log_likelihood_batch(ids[:, :t],
+                                        rng=np.random.default_rng(0))
+            return len(tape)
+
+        assert nodes(48) - nodes(12) == 36 * recurrence

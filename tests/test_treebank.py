@@ -329,6 +329,8 @@ class TestArrayForm:
 
 
 def test_tree_is_freed_without_the_cycle_collector():
+    text = "(S (NP (DT the) (NN cat)) (VP (VBD sat) (PP (IN on) (NN it))))"
+    parsed = tb.parse_sexprs(text)[0]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -337,6 +339,14 @@ def test_tree_is_freed_without_the_cycle_collector():
         ref = weakref.ref(tree)
         del tree
         assert ref() is None
+        # none of the recursive walks over trees leaves a reference cycle
+        for walk in (lambda: random_tree(30, np.random.default_rng(0)),
+                     lambda: tb.parse_sexprs(text),
+                     lambda: tb.binarize_right(parsed),
+                     parsed.constituents):
+            gc.collect()
+            walk()
+            assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()
