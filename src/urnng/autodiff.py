@@ -588,13 +588,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     _check_axis("log_softmax", x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    p = np.exp(out)
+    out = x.data - x.data.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
 
     def vjp(g):
-        return (g - p * g.sum(axis=axis, keepdims=True),)
+        # the softmax is formed again, so a tape keeps one array, not two
+        grad = np.exp(out)
+        grad *= g.sum(axis=axis, keepdims=True)
+        return (np.subtract(g, grad, out=grad),)
 
     return _emit("log_softmax", out, (x,), vjp)
 

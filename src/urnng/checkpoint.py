@@ -10,6 +10,7 @@ save -> load -> save round-trips exactly.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 import tempfile
@@ -85,7 +86,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: corrupt header: {err}") from err
 
     try:
-        directory = [(entry["name"], tuple(map(int, entry["shape"])))
+        directory = [(entry["name"],
+                      tuple(map(operator.index, entry["shape"])))
                      for entry in header["arrays"]]
         metadata = header["metadata"]
     except (KeyError, TypeError, ValueError) as err:

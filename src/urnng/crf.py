@@ -334,8 +334,7 @@ class InferenceNetwork:
                   "inf.bwd_w": lstm, "inf.bwd_b": lstm[1:],
                   "inf.mlp_w1": (2 * hidden_dim, mlp_hidden),
                   "inf.mlp_b1": (mlp_hidden,)}
-        p = {name: nn.make_param(rng, name, shape, init_scale)
-             for name, shape in shapes.items()}
+        p = nn.make_params(rng, shapes, init_scale)
         p["inf.ln_gain"] = Tensor(np.ones(mlp_hidden), requires_grad=True,
                                   name="inf.ln_gain")
         p["inf.ln_bias"] = Tensor(np.zeros(mlp_hidden), requires_grad=True,

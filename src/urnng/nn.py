@@ -24,6 +24,13 @@ def make_param(rng: np.random.Generator, name: str, shape,
                   name=name)
 
 
+def make_params(rng: np.random.Generator, shapes: dict,
+                scale: float = INIT_SCALE) -> dict[str, Tensor]:
+    """One parameter per name in ``shapes``, drawn in its order."""
+    return {name: make_param(rng, name, shape, scale)
+            for name, shape in shapes.items()}
+
+
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
@@ -32,11 +39,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add_row(ad.matmul(x, w), b)
 
 
+WORD_BLOCK = 1 << 20    # most logits one untaped tied-softmax pass forms
+
+
 def tied_word_log_prob(x: Tensor, emb: Tensor, b: Tensor, words) -> Tensor:
     """log p(words[r] | x[r]) under a softmax whose output weights are the
-    transposed embedding table ``emb`` and whose bias is ``b``."""
-    logits = linear(x, ad.transpose(emb), b)
-    return ad.pick_per_row(ad.log_softmax(logits, axis=1), words)
+    transposed embedding table ``emb`` and whose bias is ``b``.  Untaped, rows
+    go ``WORD_BLOCK`` logits at a time, so the [rows, vocab] arrays stay
+    bounded; a tape keeps every pass's arrays anyway, so it gets one pass."""
+    emb_t = ad.transpose(emb)
+    step = max(1, WORD_BLOCK // emb.shape[0])
+    if x.shape[0] <= step or x.requires_grad:
+        blocks = [(x, words)]
+    else:
+        blocks = [(Tensor(x.data[lo:lo + step]), words[lo:lo + step])
+                  for lo in range(0, x.shape[0], step)]
+    parts = [ad.pick_per_row(ad.log_softmax(linear(rows, emb_t, b), axis=1),
+                             targets) for rows, targets in blocks]
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
 
 
 def lstm_cell(x: Tensor, state: tuple[Tensor, Tensor], w: Tensor,

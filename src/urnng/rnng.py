@@ -26,7 +26,8 @@ two children of every REDUCE row are each read with one index op.
 Neither head feeds back into the stack, so the step loop runs only the
 recurrence and keeps each step's stack top.  The action head then scores all
 steps in one pass, and the word head all SHIFT and EOS contexts in one
-tied-softmax pass; the RNNLM baseline scores its words the same way.
+tied-softmax pass (untaped, in blocks of bounded size); the RNNLM baseline
+scores its words the same way.
 """
 
 from __future__ import annotations
@@ -170,41 +171,43 @@ class GenerationResult:
     eos_at_root: bool
 
 
-class GenerativeModel:
-    """Two-layer stack LSTM with tree-LSTM composition and tied word head."""
+class _TiedLM:
+    """Sizes, dropout, the EOS id and the parameters both language models
+    share, named under ``prefix``; ``head_shapes`` go before the word bias."""
+
+    prefix = ""
 
     def __init__(self, vocab_size: int, dim: int = 650, layers: int = 2,
                  dropout: float = 0.5, eos_id: int = 1,
                  rng: np.random.Generator | None = None,
                  init_scale: float = nn.INIT_SCALE):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.layers = layers
-        self.dropout = dropout
-        self.eos_id = eos_id
-        p = {}
-        p["emb"] = nn.make_param(rng, "emb", (vocab_size, dim), init_scale)
+        self.vocab_size, self.dim, self.layers = vocab_size, dim, layers
+        self.dropout, self.eos_id = dropout, eos_id
+        shapes = {"emb": (vocab_size, dim)}
         for layer in range(layers):
-            p[f"gen.lstm_w{layer}"] = nn.make_param(
-                rng, f"gen.lstm_w{layer}", (2 * dim, 4 * dim), init_scale)
-            p[f"gen.lstm_b{layer}"] = nn.make_param(
-                rng, f"gen.lstm_b{layer}", (4 * dim,), init_scale)
-        p["gen.tree_w"] = nn.make_param(rng, "gen.tree_w", (2 * dim, 5 * dim),
-                                        init_scale)
-        p["gen.tree_b"] = nn.make_param(rng, "gen.tree_b", (5 * dim,),
-                                        init_scale)
-        p["gen.action_w"] = nn.make_param(rng, "gen.action_w", (dim,),
-                                          init_scale)
-        p["gen.action_b"] = nn.make_param(rng, "gen.action_b", (1,),
-                                          init_scale)
-        p["gen.word_b"] = nn.make_param(rng, "gen.word_b", (vocab_size,),
-                                        init_scale)
-        self.params = p
+            shapes[f"{self.prefix}.lstm_w{layer}"] = (2 * dim, 4 * dim)
+            shapes[f"{self.prefix}.lstm_b{layer}"] = (4 * dim,)
+        shapes.update(self.head_shapes(dim))
+        shapes[f"{self.prefix}.word_b"] = (vocab_size,)
+        self.params = nn.make_params(rng, shapes, init_scale)
+
+    def head_shapes(self, dim: int) -> dict:
+        return {}
 
     def parameters(self) -> dict[str, Tensor]:
-        """All generative parameters, including the shared embedding table."""
+        """All parameters, including the embedding table."""
         return dict(self.params)
+
+
+class GenerativeModel(_TiedLM):
+    """Two-layer stack LSTM with tree-LSTM composition and tied word head."""
+
+    prefix = "gen"
+
+    def head_shapes(self, dim: int) -> dict:
+        return {"gen.tree_w": (2 * dim, 5 * dim), "gen.tree_b": (5 * dim,),
+                "gen.action_w": (dim,), "gen.action_b": (1,)}
 
     # -- scoring ------------------------------------------------------------
 
@@ -241,6 +244,7 @@ class GenerativeModel:
                 stepper.step(actions[:, step],
                              ids[stepper.rows, stepper.words_used % t_len])
         context = ad.concat(contexts, axis=0)      # [(steps + 1) * n, dim]
+        del contexts    # untaped, this frees the per-step arrays
 
         p = self.params
         # the step after the final REDUCE has depth 1, so it is never free
@@ -364,32 +368,10 @@ class GenerativeModel:
                                 truncated, False, eos_at_root)
 
 
-class RNNLM:
+class RNNLM(_TiedLM):
     """Two-layer LSTM language model with tied embeddings (the baseline)."""
 
-    def __init__(self, vocab_size: int, dim: int = 650, layers: int = 2,
-                 dropout: float = 0.5, eos_id: int = 1,
-                 rng: np.random.Generator | None = None,
-                 init_scale: float = nn.INIT_SCALE):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.layers = layers
-        self.dropout = dropout
-        self.eos_id = eos_id
-        p = {}
-        p["emb"] = nn.make_param(rng, "emb", (vocab_size, dim), init_scale)
-        for layer in range(layers):
-            p[f"lm.lstm_w{layer}"] = nn.make_param(
-                rng, f"lm.lstm_w{layer}", (2 * dim, 4 * dim), init_scale)
-            p[f"lm.lstm_b{layer}"] = nn.make_param(
-                rng, f"lm.lstm_b{layer}", (4 * dim,), init_scale)
-        p["lm.word_b"] = nn.make_param(rng, "lm.word_b", (vocab_size,),
-                                       init_scale)
-        self.params = p
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
+    prefix = "lm"
 
     def log_likelihood_batch(self, ids: np.ndarray,
                              rng: np.random.Generator | None = None) -> Tensor:

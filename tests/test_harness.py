@@ -410,8 +410,8 @@ class TestCliExitCodes:
                          "--checkpoint", str(bad)]) == 2
 
     @pytest.mark.parametrize("damage", [
-        "no-arrays", "no-metadata", "no-shape", "list-header",
-        "no-optimizer-array", "no-counter"])
+        "no-arrays", "no-metadata", "no-shape", "float-shape", "string-shape",
+        "list-header", "no-optimizer-array", "no-counter"])
     def test_malformed_checkpoint_is_data_error(self, workspace, tmp_path,
                                                 capsys, damage):
         data = (workspace / "run" / "last.ckpt").read_bytes()
@@ -424,6 +424,12 @@ class TestCliExitCodes:
             del header["metadata"]
         elif damage == "no-shape":
             del header["arrays"][0]["shape"]
+        elif damage == "float-shape":
+            header["arrays"][0]["shape"] = [
+                float(d) for d in header["arrays"][0]["shape"]]
+        elif damage == "string-shape":
+            header["arrays"][0]["shape"] = "".join(
+                map(str, header["arrays"][0]["shape"]))
         elif damage == "list-header":
             header = [header]
         if damage in ("no-optimizer-array", "no-counter"):
@@ -440,6 +446,8 @@ class TestCliExitCodes:
             (tmp_path / "bad.ckpt").write_bytes(
                 data[:8] + struct.pack("<Q", len(blob)) + blob + payload)
             missing = {"no-shape": "shape", "no-metadata": "metadata",
+                       "float-shape": "malformed header",
+                       "string-shape": "malformed header",
                        "list-header": "malformed header"}.get(damage, "arrays")
         assert cli.main(["parse", "--corpus",
                          str(workspace / "valid.tokens"),
