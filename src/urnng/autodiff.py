@@ -257,6 +257,11 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    @staticmethod
+    def active() -> bool:
+        """Whether some tape is recording."""
+        return bool(_tape_stack)
+
     def backward(self, root: Tensor) -> dict[Tensor, np.ndarray]:
         """Return, for every contributing leaf, d(root)/d(leaf).
 
@@ -398,7 +403,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     _require(x.ndim == 2, "transpose", f"expected a matrix, got {x.shape}")
-    return _emit("transpose", x.data.T.copy(), (x,), lambda g: (g.T,))
+    return _emit("transpose", x.data.T, (x,), lambda g: (g.T,))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

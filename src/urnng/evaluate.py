@@ -64,7 +64,8 @@ def iw_log_marginal(model: GenerativeModel, inference: InferenceNetwork,
 def _sampled_joints(model: GenerativeModel, ids: np.ndarray, chart,
                     rng: np.random.Generator, k: int):
     """Draw k trees from row 0 of ``chart`` and score each distinct tree
-    once, in eval mode and 256 rows at a time.
+    once, in eval mode and 256 rows at a time, sorted by their actions so
+    that trees with a common prefix share its stack states.
 
     Returns the distinct trees' terminal and action log-likelihoods and log q
     (in order of first draw), and which of them each draw is.
@@ -73,13 +74,14 @@ def _sampled_joints(model: GenerativeModel, ids: np.ndarray, chart,
     log_qs = tree_log_prob_batch(chart, spans, np.zeros(len(spans),
                                                          np.int64)).data
     acts = tree_actions(spans, chart.length)
+    order = np.lexsort(acts.T[::-1])
     terminal, action = np.empty(len(acts)), np.empty(len(acts))
     for lo in range(0, len(acts), 256):
-        chunk = acts[lo:lo + 256]
+        chunk = order[lo:lo + 256]
         term_t, act_t = model.joint_log_likelihood_batch(
-            np.tile(ids[None], (len(chunk), 1)), chunk)
-        terminal[lo:lo + len(chunk)] = term_t.data
-        action[lo:lo + len(chunk)] = act_t.data
+            np.tile(ids[None], (len(chunk), 1)), acts[chunk])
+        terminal[chunk] = term_t.data
+        action[chunk] = act_t.data
     return terminal, action, which, log_qs
 
 

@@ -19,9 +19,12 @@ whose word is the EOS token, scored by the same word head.
 
 Scoring runs many rows in lockstep: every action pushes exactly one element,
 so the stack top after step t-1 is always the element pushed at step t-1, and
-one LSTM step per layer serves all rows at once.  The stack state is arrays
-indexed by stack position, so the state below each row's new element and the
-two children of every REDUCE row are each read with one index op.
+one LSTM step per layer serves all rows at once.  Without dropout the stack
+after step t depends only on the actions and words so far, so untaped rows
+that share that prefix share one node of the prefix trie, and the cells and
+heads run once per node.  The stack state is arrays indexed by stack position
+and node, so the state below each new element and the two children of every
+REDUCE are each read with one index op.
 
 Neither head feeds back into the stack, so the step loop runs only the
 recurrence and keeps each step's stack top.  The action head then scores all
@@ -43,7 +46,7 @@ from .treebank import REDUCE, SHIFT, TreeRepr, actions_to_tree
 
 
 class _Slots:
-    """An (h, c) pair for every stack position of every row, as two arrays
+    """An (h, c) pair for every stack position of every node, as two arrays
     [depth + 1, n, dim]; position 0 holds the zero pair under every stack.
     For the tape, ``steps`` maps a step to each Tensor it wrote, if taped.
     """
@@ -52,36 +55,39 @@ class _Slots:
         self.data = np.zeros((2, depth + 1, n_rows, dim))
         self.steps: tuple[dict, dict] = ({}, {})
 
-    def write(self, step: int, pos: np.ndarray, rows: np.ndarray,
+    def write(self, step: int, pos: np.ndarray, nodes: np.ndarray,
               pair: tuple[Tensor, Tensor]) -> None:
-        """Store row r of each tensor of ``pair`` at position pos[r]."""
+        """Store row r of each tensor of ``pair`` at (pos[r], nodes[r])."""
         for data, steps, tensor in zip(self.data, self.steps, pair):
-            data[pos, rows] = tensor.data
+            data[pos, nodes] = tensor.data
             if tensor.requires_grad:
                 steps[step] = tensor
 
-    def read(self, pos: np.ndarray, rows: np.ndarray,
+    def read(self, pos: np.ndarray, nodes: np.ndarray,
              written: np.ndarray) -> tuple[Tensor, Tensor]:
-        """The pairs at (pos[r], rows[r]), which step written[r] wrote."""
-        return tuple(ad.take_steps(data[pos, rows], steps, written, rows)
-                     if steps else Tensor(data[pos, rows])
+        """The pairs at (pos[r], nodes[r]), which step written[r] wrote."""
+        return tuple(ad.take_steps(data[pos, nodes], steps, written, nodes)
+                     if steps else Tensor(data[pos, nodes])
                      for data, steps in zip(self.data, self.steps))
 
 
 class _Stepper:
     """Lockstep shift/reduce execution over n rows, one push per step.
 
-    The stack state is arrays indexed by stack position: each layer's LSTM
-    state after pushing the element there, and that element's content
-    (h, c).  ``stack[r, p]`` is the step that pushed row r's element at
-    position p, which routes gradients on a tape.  Reading the state below
-    the top or the two children is one index op for all rows.
+    Rows with the same actions over the same words so far share a prefix
+    node; ``node[r]`` is row r's.  The stack state is arrays indexed by
+    stack position and node: each layer's LSTM state after pushing the
+    element there, and that element's content (h, c).  A step maps each
+    distinct (node, action, word on SHIFT) to a child; a node's first child
+    keeps its slot and later ones get a copy, so the cells run once per
+    node (one per row of ``top``), and nodes never outnumber rows.  On a
+    tape or with dropout each row keeps a node of its own.  ``stack[i, p]``
+    is the step that pushed node i's element at p; it routes gradients.
     """
 
     def __init__(self, model: "GenerativeModel", n_rows: int,
                  rng: np.random.Generator | None, depth: int):
         self.model = model
-        self.n = n_rows
         self.rng = rng
         dim = model.dim
         self.state = [_Slots(depth, n_rows, dim) for _ in range(model.layers)]
@@ -89,63 +95,80 @@ class _Stepper:
         self.stack = np.zeros((n_rows, depth + 1), dtype=np.int64)
         self.depth = np.zeros(n_rows, dtype=np.int64)
         self.words_used = np.zeros(n_rows, dtype=np.int64)
-        self.rows = np.arange(n_rows)
-        self.top = nn.zeros((n_rows, dim))  # the stack tops' hidden state
+        shared = rng is None and not ad.Tape.active()
+        self.node = np.zeros(n_rows, np.int64) if shared else np.arange(n_rows)
+        self.top = nn.zeros((1 if shared else n_rows, dim))  # node tops
         self.t = 0
 
     def step(self, actions: np.ndarray, word_ids: np.ndarray | None) -> None:
         """Advance every row one action; ``word_ids[r]`` is read on SHIFT rows."""
         model = self.model
         p = model.params
-        shift_rows = np.flatnonzero(actions == SHIFT)
-        reduce_rows = np.flatnonzero(actions == REDUCE)
-        depth = self.depth[reduce_rows]
-        if np.any(depth < 2):
-            bad = reduce_rows[depth < 2][0]
-            raise ValueError(
-                f"row {bad}: REDUCE with stack depth {self.depth[bad]}")
+        shift = actions == SHIFT
+        bad = np.flatnonzero(~shift & (self.depth < 2))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: REDUCE with stack depth "
+                             f"{self.depth[bad[0]]}")
+        # a SHIFT without a word reads word -1, which take_rows rejects
+        words = np.where(shift, -1 if word_ids is None else word_ids, -1)
 
+        # keys sort by parent node first; its first child keeps its slot
+        key = (self.node * 2 + actions) * (model.vocab_size + 1) + words + 1
+        _, first, child = np.unique(key, return_index=True, return_inverse=True)
+        parent = self.node[first]
+        forks = np.flatnonzero(parent[1:] == parent[:-1]) + 1
+        slot = parent.copy()
+        slot[forks] = len(self.top.data) + np.arange(forks.size)
+        old, new = parent[forks], slot[forks]
+        top = self.depth[first[forks]].max(initial=0) + 1
+        for slots in (*self.state, self.content):
+            slots.data[:, :top, new] = slots.data[:, :top, old]
+        self.stack[new] = self.stack[old]
+        self.node = slot[child.ravel()]
+        rows = first[np.argsort(slot)]      # a row of each node
+        nodes = np.arange(rows.size)
+
+        shift_nodes = np.flatnonzero(shift[rows])
+        reduce_nodes = np.flatnonzero(~shift[rows])
         composed = (None, None)
-        if reduce_rows.size:
-            def child(pos):
-                return self.content.read(pos, reduce_rows,
-                                         self.stack[reduce_rows, pos])
-            composed = nn.tree_cell(child(depth - 1), child(depth),
+        if reduce_nodes.size:
+            depth = self.depth[rows[reduce_nodes]]
+            def child_pair(pos):
+                return self.content.read(pos, reduce_nodes,
+                                         self.stack[reduce_nodes, pos])
+            composed = nn.tree_cell(child_pair(depth - 1), child_pair(depth),
                                     p["gen.tree_w"], p["gen.tree_b"])
 
         embedded = blank = None
-        if shift_rows.size:
-            if word_ids is None:
-                raise ValueError("SHIFT rows present but no word ids given")
-            embedded = ad.take_rows(p["emb"], word_ids[shift_rows])
-            blank = nn.zeros((shift_rows.size, model.dim))
+        if shift_nodes.size:
+            embedded = ad.take_rows(p["emb"], words[rows[shift_nodes]])
+            blank = nn.zeros((shift_nodes.size, model.dim))
 
         self.t += 1
-        self.depth[shift_rows] += 1
-        self.depth[reduce_rows] -= 1
-        top, below = self.depth, self.depth - 1
+        self.depth += np.where(shift, 1, -1)
+        self.words_used += shift
+        top = self.depth[rows]
+        below = top - 1
         # the LSTM state beneath the new push: the old top for SHIFT, the
         # element under the two popped children for REDUCE
-        below_steps = self.stack[self.rows, below]
-        self.stack[self.rows, top] = self.t
+        below_steps = self.stack[nodes, below]
+        self.stack[nodes, top] = self.t
 
-        # the pushed element: the word for SHIFT rows (its cell state is
-        # zero), the composition for REDUCE rows
-        order = np.empty(self.n, dtype=np.int64)
-        order[np.concatenate([shift_rows, reduce_rows])] = self.rows
+        # the pushed element: the word for SHIFT nodes (its cell state is
+        # zero), the composition for REDUCE nodes
+        order = np.argsort(np.concatenate([shift_nodes, reduce_nodes]))
         pushed = _merge(embedded, composed[0], order)
-        self.content.write(self.t, top, self.rows,
+        self.content.write(self.t, top, nodes,
                            (pushed, _merge(blank, composed[1], order)))
         inp = ad.dropout(pushed, model.dropout, self.rng)
         for layer in range(model.layers):
-            state = self.state[layer].read(below, self.rows, below_steps)
+            state = self.state[layer].read(below, nodes, below_steps)
             h, c = nn.lstm_cell(inp, state, p[f"gen.lstm_w{layer}"],
                                 p[f"gen.lstm_b{layer}"])
-            self.state[layer].write(self.t, top, self.rows, (h, c))
+            self.state[layer].write(self.t, top, nodes, (h, c))
             if layer + 1 < model.layers:
                 inp = ad.dropout(h, model.dropout, self.rng)
         self.top = h
-        self.words_used[shift_rows] += 1
 
 
 def _merge(shifted: Tensor | None, reduced: Tensor | None,
@@ -234,16 +257,18 @@ class GenerativeModel(_TiedLM):
             raise ValueError(f"every row must contain exactly {t_len} SHIFTs")
 
         # Only the recurrence runs per step.  Neither head feeds back into
-        # it, so both score every step's dropped-out stack top at the end.
+        # it, so both score every step's dropped-out node tops at the end.
         stepper = _Stepper(self, n, rng, t_len)
-        contexts, free = [], []
+        contexts, free, at = [], [], []
         for step in range(steps + 1):
             free.append((stepper.depth >= 2) & (stepper.words_used < t_len))
+            # each row's context: its node's top, after those of past steps
+            at.append(sum(len(c.data) for c in contexts) + stepper.node)
             contexts.append(ad.dropout(stepper.top, self.dropout, rng))
             if step < steps:
                 stepper.step(actions[:, step],
-                             ids[stepper.rows, stepper.words_used % t_len])
-        context = ad.concat(contexts, axis=0)      # [(steps + 1) * n, dim]
+                             ids[np.arange(n), stepper.words_used % t_len])
+        context, at = ad.concat(contexts, axis=0), np.array(at)
         del contexts    # untaped, this frees the per-step arrays
 
         p = self.params
@@ -251,16 +276,24 @@ class GenerativeModel(_TiedLM):
         sign = np.vstack([1.0 - 2.0 * actions.T, np.ones((1, n))])
         logits = ad.add_broadcast(ad.matmul(context, p["gen.action_w"]),
                                   p["gen.action_b"])
+        logits = ad.take_rows(logits, at.ravel())
         terms = ad.mul(ad.softplus(ad.mul(logits, Tensor(sign.ravel()))),
                        Tensor(np.where(free, -1.0, 0.0).ravel()))
         action = ad.sum_axis(ad.reshape(terms, (steps + 1, n)), 0)
 
-        # each word is read off the context before its SHIFT, EOS off the last
-        at = np.nonzero(actions == SHIFT)[1].reshape(n, t_len)
-        at = np.hstack([at, np.full((n, 1), steps)]).T * n + np.arange(n)
-        words = np.hstack([ids, np.full((n, 1), self.eos_id)]).T
-        word = nn.tied_word_log_prob(ad.take_rows(context, at.ravel()),
-                                     p["emb"], p["gen.word_b"], words.ravel())
+        # each word is read off the context before its SHIFT, EOS off the
+        # last; each distinct (context, word) is scored once, in order of
+        # first occurrence, so rows that share nothing keep their order
+        read = np.hstack([actions == SHIFT, np.ones((n, 1), dtype=bool)])
+        at = at.T[read].reshape(n, t_len + 1).T.ravel()
+        words = np.hstack([ids, np.full((n, 1), self.eos_id)]).T.ravel()
+        _, first, which = np.unique(at * self.vocab_size + words,
+                                    return_index=True, return_inverse=True)
+        which = np.argsort(np.argsort(first))[which.ravel()]
+        first = np.sort(first)
+        word = nn.tied_word_log_prob(ad.take_rows(context, at[first]),
+                                     p["emb"], p["gen.word_b"], words[first])
+        word = ad.take_rows(word, which)
         terminal = ad.sum_axis(ad.reshape(word, (t_len + 1, n)), 0)
         return terminal, action
 
@@ -297,7 +330,7 @@ class GenerativeModel(_TiedLM):
         for step in range(steps):
             hidden = stepper.top.data
             logits = hidden @ p["gen.action_w"].data + p["gen.action_b"].data[0]
-            p_reduce = ad.sigmoid_array(logits)
+            p_reduce = ad.sigmoid_array(logits)[stepper.node]
             must_shift = stepper.depth < 2
             must_reduce = stepper.words_used >= t_len
             draw = rng.random(k) < p_reduce

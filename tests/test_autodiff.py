@@ -70,6 +70,11 @@ class TestPrimitiveGradients:
         assert_grads_ok(
             lambda: ad.sum_all(ad.exp(ad.reshape(x, (2, 6)))), [x])
 
+    def test_transpose_is_a_view(self):
+        # the tied word head transposes the whole embedding table per pass
+        x = param(rng(), 3, 4)
+        assert np.shares_memory(ad.transpose(x).data, x.data)
+
     def test_concat_stack_narrow(self):
         r = rng()
         a, b = param(r, 2, 3, name="a"), param(r, 2, 3, name="b")

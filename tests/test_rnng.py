@@ -537,3 +537,64 @@ class TestHeadsAfterRecurrence:
             model.joint_log_likelihood_batch(ids, acts)
             lm.log_likelihood_batch(ids)
         assert sizes == [13 * 8 * 20] * 2
+
+
+class TestPrefixSharing:
+    """Untaped and without dropout, rows that share their actions and words
+    so far share one stack state, and the cells run once per such prefix."""
+
+    @staticmethod
+    def count_cell_rows(monkeypatch):
+        rows = []
+        cell = nn.lstm_cell
+
+        def counted(x, *args):
+            rows.append(x.shape[0])
+            return cell(x, *args)
+
+        monkeypatch.setattr(nn, "lstm_cell", counted)
+        return rows
+
+    def test_prior_sampler_runs_one_row_per_distinct_prefix(self,
+                                                            monkeypatch):
+        model = GenerativeModel(8, dim=5, rng=np.random.default_rng(55))
+        rows = self.count_cell_rows(monkeypatch)
+        actions, _ = model.sample_actions_conditional(
+            np.array([2, 3, 4]), 1000, np.random.default_rng(56))
+        steps = actions.shape[1]
+        assert len(rows) == model.layers * steps
+        for step in range(steps):
+            prefixes = len({tuple(a) for a in actions[:, :step + 1]})
+            assert rows[model.layers * step] <= prefixes
+        assert sum(rows) < 1000
+
+    def test_copies_of_one_tree_run_one_row_per_step(self, monkeypatch):
+        model = tiny_model(seed=57)
+        tree = random_tree(6, np.random.default_rng(58))
+        ids = np.tile([2, 5, 3, 4, 6, 7], (256, 1))
+        rows = self.count_cell_rows(monkeypatch)
+        terminal, action = model.joint_log_likelihood_batch(
+            ids, np.tile(tree.actions, (256, 1)))
+        assert rows == [1] * model.layers * len(tree.actions)
+        want = reference_joint(model, ids[0], tree.actions)
+        assert terminal.data == pytest.approx([want[0]] * 256, abs=1e-10)
+        assert action.data == pytest.approx([want[1]] * 256, abs=1e-10)
+
+    def test_shared_prefixes_match_reference_row_by_row(self, monkeypatch):
+        # rows 0-3 share their first words, so rows whose trees share a
+        # prefix share nodes until the words part; rows 4-5 repeat rows 0-1
+        model = tiny_model(seed=59, dropout=0.5)
+        trees = [right_branching(6).actions,
+                 (S, S, S, R, R, S, S, R, S, R, R)]
+        ids = np.array([[2, 3, 4, 5, 6, 7], [2, 3, 4, 7, 6, 5]] * 3)
+        acts = np.array([trees[0]] * 2 + [trees[1]] * 2 + [trees[0]] * 2)
+        rows = self.count_cell_rows(monkeypatch)
+        untaped = model.joint_log_likelihood_batch(ids, acts)
+        assert sum(rows) < model.layers * len(acts) * acts.shape[1]
+        with Tape():
+            taped = model.joint_log_likelihood_batch(ids, acts)
+        for row in range(len(acts)):
+            want = reference_joint(model, ids[row], acts[row])
+            for term, act in (untaped, taped):
+                assert term.data[row] == pytest.approx(want[0], abs=1e-10)
+                assert act.data[row] == pytest.approx(want[1], abs=1e-10)
