@@ -115,36 +115,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # Arithmetic sugar; scalars route through the constant-argument primitives
-    # so that plain Python floats never enter the record as tensors.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_const(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_const(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_const(scale(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class _Node:
     # ``out`` holds the ids of the outputs and ``tape`` a weak reference, so

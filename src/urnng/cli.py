@@ -88,18 +88,26 @@ def _save_trainer(path, trainer: Trainer, vocab: Vocabulary) -> None:
                     _checkpoint_metadata(trainer, vocab))
 
 
-def _load_trainer(path) -> tuple[Trainer, Vocabulary]:
+def _load_trainer(path, config: TrainConfig | None = None
+                  ) -> tuple[Trainer, Vocabulary]:
+    """The trainer saved at ``path``.  Given a ``config``, a new trainer for
+    it that takes only the saved parameters; its optimizers start fresh."""
     arrays, meta = load_checkpoint(path)
     try:
-        config = TrainConfig(**meta["config"])
+        saved = TrainConfig(**meta["config"])
         vocab = Vocabulary(list(meta["vocab"]))
         trainer_meta = meta["trainer"]
     except (KeyError, TypeError) as err:
         raise CheckpointError(f"{path}: malformed metadata: {err}") from err
+    fresh = config is not None
+    config = config if fresh else saved
     model, inference = build_models(config, len(vocab),
                                     rng=np.random.default_rng(config.seed))
     trainer = Trainer(model, inference, config)
-    trainer.load_state(arrays, trainer_meta)
+    if fresh:
+        trainer.load_parameters(arrays)
+    else:
+        trainer.load_state(arrays, trainer_meta)
     return trainer, vocab
 
 
@@ -143,11 +151,7 @@ def cmd_train(args) -> int:
         raise UsageError("finetune mode needs --from-checkpoint")
 
     if args.from_checkpoint is not None:
-        source, vocab = _load_trainer(args.from_checkpoint)
-        model, inference = build_models(
-            config, len(vocab), rng=np.random.default_rng(config.seed))
-        trainer = Trainer(model, inference, config)
-        _copy_parameters(source, trainer)
+        trainer, vocab = _load_trainer(args.from_checkpoint, config)
     else:
         tokens = _corpus_tokens(args.corpus)
         vocab = Vocabulary.build(tokens, min_count=args.min_count)
@@ -197,21 +201,6 @@ def cmd_train(args) -> int:
     else:
         print("nothing to do: checkpoint already at the epoch budget")
     return EXIT_OK
-
-
-def _copy_parameters(source: Trainer, target: Trainer) -> None:
-    """Carry model and inference weights over; optimizers start fresh."""
-    src = {**source.model.parameters(),
-           **(source.inference.parameters() if source.inference else {})}
-    dst = {**target.model.parameters(),
-           **(target.inference.parameters() if target.inference else {})}
-    for name, p in dst.items():
-        if name not in src:
-            raise DataError(f"source checkpoint is missing {name!r}")
-        if src[name].data.shape != p.data.shape:
-            raise DataError(f"shape mismatch for {name!r}: source "
-                            f"{src[name].data.shape}, target {p.data.shape}")
-        p.data = src[name].data.copy()
 
 
 def cmd_parse(args) -> int:

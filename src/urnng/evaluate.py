@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -151,24 +152,22 @@ def prefer_grammatical(ids_a, ids_b, model: GenerativeModel,
 def bracket_multiset(spans, punct_mask) -> Counter:
     """Evaluable brackets of a tree: punctuation removed and positions
     re-indexed, width-one and whole-sentence spans dropped."""
-    punct_mask = list(punct_mask)
-    new_pos = {}
-    for old in range(1, len(punct_mask) + 1):
-        if not punct_mask[old - 1]:
-            new_pos[old] = len(new_pos) + 1
-    eff_len = len(new_pos)
-    kept = sorted(new_pos)
-    out = Counter()
-    for span in spans:
-        i, j = span[0], span[1]
-        inner = [p for p in kept if i <= p <= j]
-        if not inner:
-            continue
-        a, b = new_pos[inner[0]], new_pos[inner[-1]]
-        if a == b or (a, b) == (1, eff_len):
-            continue
-        out[(a, b)] += 1
-    return out
+    kept = _kept_before(punct_mask)
+    return Counter(b for b in (_bracket(span, kept) for span in spans) if b)
+
+
+def _kept_before(punct_mask) -> list[int]:
+    """Entry p counts the non-punctuation words among positions 1..p."""
+    return list(accumulate((not punct for punct in punct_mask), initial=0))
+
+
+def _bracket(span, kept):
+    """The re-indexed bracket (a, b) of span (i, j), or None if it keeps
+    fewer than two words or all of them."""
+    a, b = kept[span[0] - 1] + 1, kept[span[1]]
+    if a >= b or (a, b) == (1, kept[-1]):
+        return None
+    return a, b
 
 
 def _gold_brackets(gold, punct_mask):
@@ -178,14 +177,10 @@ def _gold_brackets(gold, punct_mask):
         labeled = [(i, j, "X") for (i, j) in sorted(gold.spans)]
     else:
         labeled = gold.constituents()
-    spans = [(i, j) for (i, j, _) in labeled]
-    multiset = bracket_multiset(spans, punct_mask)
-    relabeled = []
-    for (i, j, label) in labeled:
-        filtered = bracket_multiset([(i, j)], punct_mask)
-        if filtered:
-            relabeled.append((*next(iter(filtered)), label))
-    return relabeled, multiset
+    kept = _kept_before(punct_mask)
+    brackets = [(_bracket((i, j), kept), label) for (i, j, label) in labeled]
+    relabeled = [(*b, label) for b, label in brackets if b]
+    return relabeled, Counter(b for b, _ in brackets if b)
 
 
 def _check_alignment(predicted, gold, punct):

@@ -340,7 +340,8 @@ class GenerativeModel(_TiedLM):
                                 np.log1p(-p_reduce))
             logprob += np.where(must_shift | must_reduce, 0.0, term)
             actions[:, step] = acts
-            stepper.step(acts, ids[stepper.words_used % t_len])
+            if step + 1 < steps:    # nothing reads the state after the last
+                stepper.step(acts, ids[stepper.words_used % t_len])
         return actions, logprob
 
     def generate(self, rng: np.random.Generator,
@@ -393,9 +394,8 @@ class GenerativeModel(_TiedLM):
         if not ids:
             return GenerationResult((), (), None, total, truncated, True,
                                     eos_at_root)
-        while stepper.depth[0] >= 2:
-            actions.append(REDUCE)
-            stepper.step(np.array([REDUCE]), None)
+        # the closing REDUCEs carry no probability, so no cell runs for them
+        actions.extend([REDUCE] * (stepper.depth[0] - 1))
         tree = actions_to_tree(tuple(actions), len(ids))
         return GenerationResult(tuple(ids), tuple(actions), tree, total,
                                 truncated, False, eos_at_root)

@@ -181,6 +181,14 @@ def append_metrics(path, record: dict) -> None:
         fh.write("\n".join(lines) + "\n\n")
 
 
+def _require_finite(ll: np.ndarray, n: int, what: str) -> None:
+    """Raise NumericError unless ``ll`` is finite; entry i scores sentence
+    i % n of the batch, as the K samples of n sentences are stacked."""
+    bad = np.flatnonzero(~np.isfinite(ll))
+    if bad.size:
+        raise NumericError(f"non-finite {what} for sentence {bad[0] % n}")
+
+
 def _split_corpus(data):
     """Accept [Sentence] or [(Sentence, TreeRepr)]; return (sentences, trees)."""
     pairs = [(item, None) if isinstance(item, Sentence) else item
@@ -260,10 +268,7 @@ class Trainer:
                 ad.sum_all(ad.add(terminal, ad.scale(action, anneal))),
                 -1.0 / (k * n))
             full_ll = terminal.data + action.data
-            if not np.isfinite(full_ll).all():
-                bad = int(rows[np.argmax(~np.isfinite(full_ll))])
-                raise NumericError(
-                    f"non-finite joint log-likelihood for sentence {bad}")
+            _require_finite(full_ll, n, "joint log-likelihood")
             phi_loss = None
             if train_phi:
                 reward = (terminal.data + anneal * action.data).reshape(k, n)
@@ -273,11 +278,7 @@ class Trainer:
                     ad.scale(ad.sum_all(ad.mul(log_q, Tensor(advantage))),
                              -1.0 / (k * n)),
                     ad.scale(ad.sum_all(entropy), -anneal / n))
-        theta_norm = phi_norm = 0.0
-        if update:
-            theta_norm = self.theta_opt.step(tape.backward(theta_loss))
-            if phi_loss is not None:
-                phi_norm = self.phi_opt.step(tape.backward(phi_loss))
+        norms = self._update(tape, theta_loss, phi_loss, update)
         per_sentence = full_ll.reshape(k, n).mean(axis=0)
         return {
             "elbo_sum": float((per_sentence + entropy.data).sum()),
@@ -287,8 +288,7 @@ class Trainer:
             "tokens": n * t_len,
             "sentences": n,
             "anneal": anneal,
-            "theta_grad_norm": theta_norm,
-            "phi_grad_norm": phi_norm,
+            **norms,
         }
 
     def supervised_step(self, ids: np.ndarray, trees: list[TreeRepr], *,
@@ -311,36 +311,21 @@ class Trainer:
                 log_q = tree_log_prob_batch(chart, trees, np.arange(n))
                 phi_loss = ad.scale(ad.sum_all(log_q), -1.0 / n)
         joint = terminal.data + action.data
-        if not np.isfinite(joint).all():
-            bad = int(np.argmax(~np.isfinite(joint)))
-            raise NumericError(
-                f"non-finite joint log-likelihood for sentence {bad}")
-        theta_norm = phi_norm = 0.0
-        log_q_mean = 0.0
-        if phi_loss is not None:
-            log_q_mean = float(log_q.data.mean())
-        if update:
-            theta_norm = self.theta_opt.step(tape.backward(theta_loss))
-            if phi_loss is not None:
-                phi_norm = self.phi_opt.step(tape.backward(phi_loss))
+        _require_finite(joint, n, "joint log-likelihood")
+        norms = self._update(tape, theta_loss, phi_loss, update)
         return {
             "joint_sum": float(joint.sum()),
-            "log_q_mean": log_q_mean,
             "tokens": n * t_len,
             "sentences": n,
-            "theta_grad_norm": theta_norm,
-            "phi_grad_norm": phi_norm,
+            **norms,
         }
 
     def trivial_tree_step(self, ids: np.ndarray, shape: str, *,
                           update: bool = True) -> dict:
         """Supervised update on constructed trees of a fixed shape."""
         ids = np.asarray(ids, dtype=np.int64)
-        n, t_len = ids.shape
-        if shape not in ("left", "right", "random"):
-            raise ValueError(f"unknown tree shape {shape!r}")
-        trees = [self._trivial_tree(t_len, shape, self.rng)
-                 for _ in range(n)]
+        trees = [self._trivial_tree(ids.shape[1], shape, self.rng)
+                 for _ in ids]
         return self.supervised_step(ids, trees, update=update)
 
     def lm_step(self, ids: np.ndarray, *, update: bool = True) -> dict:
@@ -350,19 +335,25 @@ class Trainer:
         with Tape() as tape:
             ll = self.model.log_likelihood_batch(ids, rng=self.rng)
             loss = ad.scale(ad.sum_all(ll), -1.0 / n)
-        if not np.isfinite(ll.data).all():
-            bad = int(np.argmax(~np.isfinite(ll.data)))
-            raise NumericError(f"non-finite log-likelihood for sentence {bad}")
-        theta_norm = 0.0
-        if update:
-            theta_norm = self.theta_opt.step(tape.backward(loss))
+        _require_finite(ll.data, n, "log-likelihood")
+        norms = self._update(tape, loss, None, update)
         return {
             "joint_sum": float(ll.data.sum()),
             "tokens": n * t_len,
             "sentences": n,
-            "theta_grad_norm": theta_norm,
-            "phi_grad_norm": 0.0,
+            **norms,
         }
+
+    def _update(self, tape: Tape, theta_loss: Tensor,
+                phi_loss: Tensor | None, update: bool) -> dict:
+        """Backpropagate each loss and step its optimizer, if ``update``.
+        The gradient norms are 0.0 for an optimizer that did not step."""
+        theta_norm = phi_norm = 0.0
+        if update:
+            theta_norm = self.theta_opt.step(tape.backward(theta_loss))
+            if phi_loss is not None:
+                phi_norm = self.phi_opt.step(tape.backward(phi_loss))
+        return {"theta_grad_norm": theta_norm, "phi_grad_norm": phi_norm}
 
     # -- validation ------------------------------------------------------------
 
@@ -372,23 +363,41 @@ class Trainer:
         mode = self.config.mode
         if mode in ELBO_MODES:
             return self._validate_elbo(sentences)
-        if mode == "lm":
-            return self._validate_lm(sentences)
         if mode in TRIVIAL_SHAPES:
             shape = TRIVIAL_SHAPES[mode]
             rng = np.random.default_rng((self.config.seed, 555, self.epoch))
             trees = [self._trivial_tree(len(s.ids), shape, rng)
                      for s in sentences]
-        if trees is None or any(t is None for t in trees):
+        if mode != "lm" and (trees is None or any(t is None for t in trees)):
             raise DataError("validation in supervised mode needs gold trees")
-        return self._validate_joint(sentences, trees)
+        total = 0.0
+        tokens = 0
+        for chunk, ids in self._eval_batches(sentences):
+            if mode == "lm":
+                scores = self.model.log_likelihood_batch(ids).data
+            else:
+                acts = tree_actions([trees[i] for i in chunk], ids.shape[1])
+                terminal, action = self.model.joint_log_likelihood_batch(
+                    ids, acts)
+                scores = terminal.data + action.data
+            total += float(scores.sum())
+            tokens += ids.size
+        key = "ll_per_token" if mode == "lm" else "joint_per_token"
+        return {
+            "metric": total / tokens,
+            key: total / tokens,
+            "entropy": 0.0,
+            "collapse_warning": 0,
+        }
 
     def _trivial_tree(self, t_len, shape, rng):
         if shape == "left":
             return left_branching(t_len)
         if shape == "right":
             return right_branching(t_len)
-        return random_tree(t_len, rng)
+        if shape == "random":
+            return random_tree(t_len, rng)
+        raise ValueError(f"unknown tree shape {shape!r}")
 
     def _validate_elbo(self, sentences: list[Sentence]) -> dict:
         rng = np.random.default_rng((self.config.seed, 555, self.epoch))
@@ -402,8 +411,7 @@ class Trainer:
             spans, which = sample_trees(chart, rng, np.arange(n))
             acts = tree_actions(spans, t_len)[which]
             terminal, action = self.model.joint_log_likelihood_batch(ids, acts)
-            elbo += float(
-                (terminal.data + action.data + entropy).sum())
+            elbo += float((terminal.data + action.data + entropy).sum())
             recon += float(terminal.data.sum())
             ent += float(entropy.sum())
             tokens += n * t_len
@@ -415,34 +423,6 @@ class Trainer:
             "entropy": mean_entropy,
             "collapse_warning": int(
                 mean_entropy < self.config.collapse_threshold),
-        }
-
-    def _validate_joint(self, sentences, trees) -> dict:
-        total = 0.0
-        tokens = 0
-        for chunk, ids in self._eval_batches(sentences):
-            acts = tree_actions([trees[i] for i in chunk], ids.shape[1])
-            terminal, action = self.model.joint_log_likelihood_batch(ids, acts)
-            total += float((terminal.data + action.data).sum())
-            tokens += ids.size
-        return {
-            "metric": total / tokens,
-            "joint_per_token": total / tokens,
-            "entropy": 0.0,
-            "collapse_warning": 0,
-        }
-
-    def _validate_lm(self, sentences) -> dict:
-        total = 0.0
-        tokens = 0
-        for _, ids in self._eval_batches(sentences):
-            total += float(self.model.log_likelihood_batch(ids).data.sum())
-            tokens += ids.size
-        return {
-            "metric": total / tokens,
-            "ll_per_token": total / tokens,
-            "entropy": 0.0,
-            "collapse_warning": 0,
         }
 
     def _eval_batches(self, sentences):
@@ -573,9 +553,9 @@ class Trainer:
             "rng_state": self.rng.bit_generator.state,
         }
 
-    def load_state(self, arrays: dict[str, np.ndarray],
-                   metadata: dict) -> None:
-        """Restore parameters, optimizer moments, counters, and RNG."""
+    def load_parameters(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set every model and inference parameter from the array of its
+        name; the optimizers, counters and RNG are left as they are."""
         targets = {name: p for name, p in self.model.parameters().items()}
         if self.inference is not None:
             targets.update(self.inference.parameters())
@@ -587,6 +567,11 @@ class Trainer:
                     f"shape mismatch for {name!r}: saved "
                     f"{arrays[name].shape}, model {p.data.shape}")
             p.data = np.array(arrays[name], dtype=np.float64)
+
+    def load_state(self, arrays: dict[str, np.ndarray],
+                   metadata: dict) -> None:
+        """Restore parameters, optimizer moments, counters, and RNG."""
+        self.load_parameters(arrays)
         try:
             self.theta_opt.load_state("opt.theta", arrays)
             if self.phi_opt is not None:

@@ -515,6 +515,22 @@ class TestCheckpointedTraining:
         _, meta = load_checkpoint(tmp_path / "ft" / "last.ckpt")
         assert meta["config"]["mode"] == "finetune"
 
+    def test_finetune_source_missing_a_parameter_is_data_error(
+            self, workspace, tmp_path, capsys):
+        arrays, meta = load_checkpoint(workspace / "run" / "best.ckpt")
+        del arrays["gen.tree_w"]
+        save_checkpoint(tmp_path / "partial.ckpt", arrays, meta)
+        ft_cfg = tmp_path / "ft.cfg"
+        ft_cfg.write_text(TINY_CONFIG.replace("mode = urnng",
+                                              "mode = finetune"))
+        code = cli.main(["train", "--corpus", str(workspace / "train.tokens"),
+                         "--valid", str(workspace / "valid.tokens"),
+                         "--config", str(ft_cfg),
+                         "--from-checkpoint", str(tmp_path / "partial.ckpt"),
+                         "--out", str(tmp_path / "ft")])
+        assert code == 2
+        assert "gen.tree_w" in capsys.readouterr().err
+
     def test_supervised_training_on_trees(self, workspace, tmp_path):
         sup_cfg = tmp_path / "sup.cfg"
         sup_cfg.write_text(TINY_CONFIG.replace("mode = urnng",

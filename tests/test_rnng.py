@@ -511,9 +511,15 @@ class TestHeadsAfterRecurrence:
         lm = RNNLM(20, dim=4, rng=np.random.default_rng(53))
         rng = np.random.default_rng(54)
         ids = rng.integers(2, 20, size=(8, 12))
+        ids[:, 0] = np.arange(2, 10)    # no two rows share a first word
         acts = np.array([random_tree(12, rng).actions for _ in range(8)])
+        # one first word and eight distinct second words: the joint scores
+        # the shared first two contexts once, 1 + 8 + 11 * 8 word rows
+        shared = ids.copy()
+        shared[:, 0], shared[:, 1] = 2, np.arange(2, 10)
         whole = model.joint_log_likelihood_batch(ids, acts)
         whole_lm = lm.log_likelihood_batch(ids)
+        whole_shared = model.joint_log_likelihood_batch(shared, acts)
 
         log_softmax = ad.log_softmax
         sizes = []
@@ -531,6 +537,16 @@ class TestHeadsAfterRecurrence:
         assert terminal.data == pytest.approx(whole[0].data, rel=1e-13)
         assert action.data == pytest.approx(whole[1].data, rel=1e-13)
         assert ll.data == pytest.approx(whole_lm.data, rel=1e-13)
+
+        sizes.clear()
+        terminal, action = model.joint_log_likelihood_batch(shared, acts)
+        assert len(sizes) == 33 and max(sizes) == 3 * 20    # ceil(97 / 3)
+        assert terminal.data == pytest.approx(whole_shared[0].data,
+                                              rel=1e-13)
+        assert action.data == pytest.approx(whole_shared[1].data, rel=1e-13)
+        sizes.clear()
+        lm.log_likelihood_batch(shared)
+        assert len(sizes) == 35
 
         sizes.clear()
         with Tape():
@@ -562,11 +578,26 @@ class TestPrefixSharing:
         actions, _ = model.sample_actions_conditional(
             np.array([2, 3, 4]), 1000, np.random.default_rng(56))
         steps = actions.shape[1]
-        assert len(rows) == model.layers * steps
-        for step in range(steps):
+        assert len(rows) == model.layers * (steps - 1)
+        for step in range(steps - 1):
             prefixes = len({tuple(a) for a in actions[:, :step + 1]})
             assert rows[model.layers * step] <= prefixes
         assert sum(rows) < 1000
+
+    def test_prior_sampler_steps_no_cell_after_its_last_draw(self,
+                                                              monkeypatch):
+        # at T = 3 the sampler draws both trees, SSRSR and SSSRR; the cells
+        # run once per layer for each distinct prefix of length 1 to 2T - 2
+        model = GenerativeModel(8, dim=5, rng=np.random.default_rng(55))
+        rows = self.count_cell_rows(monkeypatch)
+        actions, _ = model.sample_actions_conditional(
+            np.array([2, 3, 4]), 1000, np.random.default_rng(56))
+        assert {tuple(a) for a in actions} == {(S, S, R, S, R),
+                                               (S, S, S, R, R)}
+        prefixes = sum(len({tuple(a) for a in actions[:, :length]})
+                       for length in range(1, actions.shape[1]))
+        assert prefixes == 6
+        assert sum(rows) == model.layers * prefixes == 12
 
     def test_copies_of_one_tree_run_one_row_per_step(self, monkeypatch):
         model = tiny_model(seed=57)
