@@ -7,6 +7,10 @@ reverse and returns a gradient for every leaf tensor that contributed to the
 requested scalar.  Outside a tape the same operations run as plain numpy
 evaluation, which is how all inference-time code paths avoid bookkeeping cost.
 
+A node keeps its vjp, which closes over only the arrays its formula reads,
+and per input a leaf Tensor or the key of an earlier node's output.  So an
+intermediate array lives only while a vjp reads it, as in PyTorch's autograd.
+
 Two kinds of partial are kept factored while :meth:`Tape.backward` runs, so
 that a weight shared by many time steps gets its gradient from one GEMM or
 one scatter instead of a full-size array per step: the right-operand partial
@@ -20,6 +24,7 @@ All operations check their outputs for NaN/Inf by default and raise
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from collections import namedtuple
@@ -92,13 +97,14 @@ def set_check_finite(enabled: bool) -> bool:
 class Tensor:
     """A dense float64 array plus the bookkeeping needed for backward."""
 
-    __slots__ = ("data", "requires_grad", "name", "node")
+    __slots__ = ("data", "requires_grad", "name", "node", "key")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.name = name
         self.node: _Node | None = None
+        self.key: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,10 +123,14 @@ class Tensor:
 
 
 class _Node:
-    # ``out`` holds the ids of the outputs and ``tape`` a weak reference, so
+    # ``out`` holds the keys of the outputs and ``tape`` a weak reference, so
     # no reference cycle keeps a tape's arrays alive until the next cyclic
-    # garbage collection.  An output that died was consumed by no node, so
-    # no gradient is pending under its id when a later tensor reuses it.
+    # garbage collection.  ``inputs`` holds, per input, None if it needs no
+    # gradient, a (key, shape) handle if this tape produced it, or the leaf
+    # Tensor itself.  So a node keeps no intermediate Tensor alive, and an
+    # array lives only while some vjp closure reads it.  Keys come from the
+    # tape's counter, not ``id()``, which a later output reuses once an
+    # output dies: a counter keeps every key on the tape distinct.
     __slots__ = ("out", "inputs", "vjp", "tape")
 
     def __init__(self, out, inputs, vjp, tape):
@@ -169,9 +179,16 @@ class _Sum:
             prod = a.T @ g
             self.dense = prod if self.dense is None else _plus(self.dense, prod)
         if scatter:
+            rows, g = map(_cat, zip(*scatter))
             if self.dense is None:
-                self.dense = np.zeros(self.shape)
-            np.add.at(self.dense, *map(_cat, zip(*scatter)))
+                # into zeros both sum each entry's rows in index order;
+                # bincount of no rows gives integer zeros, hence the cast
+                width = math.prod(self.shape[1:])
+                flat = (rows[:, None] * width + np.arange(width)).ravel()
+                summed = np.bincount(flat, g.ravel(), math.prod(self.shape))
+                self.dense = summed.reshape(self.shape).astype(float, copy=False)
+            else:
+                np.add.at(self.dense, rows, g)
         return self.dense
 
 
@@ -209,11 +226,12 @@ class Tape:
     appear on this record, each call starting from a fresh accumulator.
     """
 
-    __slots__ = ("_nodes", "_ref", "__weakref__")
+    __slots__ = ("_nodes", "_ref", "_keys", "__weakref__")
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._ref = weakref.ref(self)  # what the nodes hold
+        self._keys = itertools.count()  # one key per output
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -240,8 +258,8 @@ class Tape:
         Leaves that do not influence ``root`` are absent from the result.
 
         Right-operand partials of ``matmul`` and partials of ``take_rows``
-        are held as factors and formed by one GEMM and one ``np.add.at``
-        per tensor, when its vjp runs or, for a leaf, before this returns.
+        are held as factors and formed by one GEMM and one scatter per
+        tensor, when its vjp runs or, for a leaf, before this returns.
         """
         if root.data.size != 1:
             raise ShapeError(
@@ -250,7 +268,7 @@ class Tape:
         if root.node is None or root.node.tape() is not self:
             raise ValueError("backward: root was not produced on this tape")
 
-        pending: dict[int, np.ndarray | _Sum] = {id(root): np.ones_like(root.data)}
+        pending: dict[int, np.ndarray | _Sum] = {root.key: np.ones_like(root.data)}
         leaves: dict[Tensor, np.ndarray | _Sum] = {}
         for node in reversed(self._nodes):
             many = type(node.out) is tuple
@@ -258,14 +276,14 @@ class Tape:
                  for key in (node.out if many else (node.out,))]
             if all(part is None for part in g):
                 continue
-            for tensor, part in zip(node.inputs,
-                                    node.vjp(tuple(g) if many else g[0])):
-                if part is None or not tensor.requires_grad:
+            for src, part in zip(node.inputs,
+                                 node.vjp(tuple(g) if many else g[0])):
+                if part is None or src is None:
                     continue
-                if tensor.node is not None and tensor.node.tape() is self:
-                    _accumulate(pending, id(tensor), tensor.shape, part)
+                if type(src) is tuple:
+                    _accumulate(pending, *src, part)
                 else:
-                    _accumulate(leaves, tensor, tensor.shape, part)
+                    _accumulate(leaves, src, src.shape, part)
         return {t: _formed(g) for t, g in leaves.items()}
 
 
@@ -283,10 +301,14 @@ def _emit(opname: str, out_data, inputs: tuple, vjp):
     taped = tape is not None and any(t.requires_grad for t in inputs)
     outs = tuple(Tensor(a, requires_grad=taped) for a in arrays)
     if taped:
-        ids = tuple(map(id, outs))
-        node = _Node(ids if many else ids[0], inputs, vjp, tape._ref)
-        for out in outs:
-            out.node = node
+        keys = tuple(next(tape._keys) for _ in outs)
+        held = tuple(None if not t.requires_grad
+                     else (t.key, t.shape)
+                     if t.node is not None and t.node.tape is tape._ref
+                     else t for t in inputs)
+        node = _Node(keys if many else keys[0], held, vjp, tape._ref)
+        for out, key in zip(outs, keys):
+            out.node, out.key = node, key
         tape._nodes.append(node)
     return outs if many else outs[0]
 
@@ -330,11 +352,8 @@ def add_broadcast(x: Tensor, s: Tensor) -> Tensor:
     _require(s.data.size == 1, "add_broadcast",
              f"second operand must have one element, got shape {s.shape}")
     s_shape = s.shape
-
-    def vjp(g):
-        return (g, np.asarray(g.sum()).reshape(s_shape))
-
-    return _emit("add_broadcast", x.data + s.data.item(), (x, s), vjp)
+    return _emit("add_broadcast", x.data + s.data.item(), (x, s),
+                 lambda g: (g, np.asarray(g.sum()).reshape(s_shape)))
 
 
 def add_row(m: Tensor, v: Tensor) -> Tensor:
@@ -389,12 +408,8 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     _require(len(parts) > 0, "concat", "empty input list")
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
     return _emit("concat", np.concatenate([p.data for p in parts], axis=axis),
-                 tuple(parts), vjp)
+                 tuple(parts), lambda g: np.split(g, splits, axis=axis))
 
 
 def stack0(parts: list[Tensor]) -> Tensor:
@@ -404,12 +419,18 @@ def stack0(parts: list[Tensor]) -> Tensor:
     for p in parts:
         _require(p.shape == base, "stack0",
                  f"shape mismatch {p.shape} vs {base}")
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(parts)))
-
+    # the gradient of part i is g[i], as iterating g yields it
     return _emit("stack0", np.stack([p.data for p in parts], axis=0),
-                 tuple(parts), vjp)
+                 tuple(parts), tuple)
+
+
+def _placed(shape: tuple, index):
+    """The vjp of reading ``x.data[index]``: g placed into zeros."""
+    def vjp(g):
+        out = np.zeros(shape, dtype=np.float64)
+        out[index] = g
+        return (out,)
+    return vjp
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -420,14 +441,8 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    shape = x.shape
-
-    def vjp(g):
-        out = np.zeros(shape, dtype=np.float64)
-        out[index] = g
-        return (out,)
-
-    return _emit("narrow", x.data[index].copy(), (x,), vjp)
+    return _emit("narrow", x.data[index].copy(), (x,),
+                 _placed(x.shape, index))
 
 
 def take_rows(x: Tensor, rows) -> Tensor:
@@ -466,14 +481,8 @@ def pick_per_row(x: Tensor, cols) -> Tensor:
     if cols.size and (cols.min() < 0 or cols.max() >= x.shape[1]):
         raise ShapeError(f"pick_per_row: column index out of range for {x.shape}")
     r = np.arange(x.shape[0])
-    shape = x.shape
-
-    def vjp(g):
-        out = np.zeros(shape, dtype=np.float64)
-        out[r, cols] = g
-        return (out,)
-
-    return _emit("pick_per_row", x.data[r, cols], (x,), vjp)
+    return _emit("pick_per_row", x.data[r, cols], (x,),
+                 _placed(x.shape, (r, cols)))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -484,11 +493,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 def sum_axis(x: Tensor, axis: int) -> Tensor:
     shape = x.shape
-
-    def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _emit("sum_axis", x.data.sum(axis=axis), (x,), vjp)
+    return _emit("sum_axis", x.data.sum(axis=axis), (x,), lambda g: (
+        np.broadcast_to(np.expand_dims(g, axis), shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +588,8 @@ def logsumexp(x: Tensor, axis: int = 0) -> Tensor:
     out = np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True)) + m
     weights = np.exp(x.data - out)
     out = np.squeeze(out, axis=axis)
-
-    def vjp(g):
-        return (weights * np.expand_dims(g, axis),)
-
-    return _emit("logsumexp", out, (x,), vjp)
+    return _emit("logsumexp", out, (x,),
+                 lambda g: (weights * np.expand_dims(g, axis),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -598,10 +601,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     y = (x.data - mu) * inv
-    out = y * gain.data[..., :] + bias.data
+    gd = gain.data
+    out = y * gd[..., :] + bias.data
 
     def vjp(g):
-        dy = g * gain.data
+        dy = g * gd
         dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
                     - y * (dy * y).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))

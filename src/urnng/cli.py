@@ -111,10 +111,14 @@ def _load_trainer(path, config: TrainConfig | None = None
     return trainer, vocab
 
 
-def _require_parser(trainer: Trainer, path) -> None:
+def _load_parser(args) -> tuple[Trainer, Vocabulary, list]:
+    """The checkpoint's trainer, which must have an inference network, its
+    vocabulary, and the corpus read with that vocabulary."""
+    trainer, vocab = _load_trainer(args.checkpoint)
     if trainer.inference is None:
-        raise DataError(f"{path}: {trainer.config.mode} checkpoint has no "
-                        "inference network")
+        raise DataError(f"{args.checkpoint}: {trainer.config.mode} "
+                        "checkpoint has no inference network")
+    return trainer, vocab, _load_corpus(args.corpus, vocab, with_trees=False)
 
 
 def _emit(text: str, path) -> None:
@@ -165,22 +169,20 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     if args.resume is not None:
-        arrays, meta = load_checkpoint(args.resume)
-        if meta.get("vocab") != list(vocab.tokens):
+        trainer, saved_vocab = _load_trainer(args.resume)
+        if saved_vocab.tokens != vocab.tokens:
             raise DataError(f"{args.resume}: vocabulary does not match "
                             "the training corpus")
-        saved_config = dict(meta.get("config", {}))
         current = dataclasses.asdict(config)
         # the epoch budget can grow on resume; nothing else may change,
         # or the continuation would not reproduce an uninterrupted run
-        saved_config.pop("epochs", None)
-        diff = sorted(k for k in saved_config
-                      if saved_config[k] != current.get(k))
+        diff = sorted(k for k, v in dataclasses.asdict(trainer.config).items()
+                      if k != "epochs" and v != current[k])
         if diff:
             raise DataError(f"{args.resume}: config differs from this run "
                             f"({', '.join(diff)}); resuming would not be "
                             "reproducible")
-        trainer.load_state(arrays, meta["trainer"])
+        trainer.config = config
 
     last_path = os.path.join(args.out, "last.ckpt")
     best_path = os.path.join(args.out, "best.ckpt")
@@ -204,9 +206,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    trainer, vocab = _load_trainer(args.checkpoint)
-    _require_parser(trainer, args.checkpoint)
-    sentences = _load_corpus(args.corpus, vocab, with_trees=False)
+    trainer, _, sentences = _load_parser(args)
     trees = viterbi_parses(trainer.inference, sentences)
     lines = [tree.to_bracketed(list(s.words))
              for tree, s in zip(trees, sentences)]
@@ -215,9 +215,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    trainer, vocab = _load_trainer(args.checkpoint)
-    _require_parser(trainer, args.checkpoint)
-    sentences = _load_corpus(args.corpus, vocab, with_trees=False)
+    trainer, vocab, sentences = _load_parser(args)
     gold = None
     if args.gold is not None:
         gold = [tree for _, tree in read_bracketed(args.gold, vocab)]
@@ -234,9 +232,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    trainer, vocab = _load_trainer(args.checkpoint)
-    _require_parser(trainer, args.checkpoint)
-    sentences = _load_corpus(args.corpus, vocab, with_trees=False)
+    trainer, _, sentences = _load_parser(args)
     lines = []
     for i, sentence in enumerate(sentences):
         rng = np.random.default_rng((args.seed, i))

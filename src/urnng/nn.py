@@ -46,7 +46,7 @@ def tied_word_log_prob(x: Tensor, emb: Tensor, b: Tensor, words) -> Tensor:
     """log p(words[r] | x[r]) under a softmax whose output weights are the
     transposed embedding table ``emb`` and whose bias is ``b``.  Untaped, rows
     go ``WORD_BLOCK`` logits at a time, so the [rows, vocab] arrays stay
-    bounded; a tape keeps every pass's arrays anyway, so it gets one pass."""
+    bounded; a tape keeps each pass's log-softmax anyway, so it gets one."""
     emb_t = ad.transpose(emb)
     step = max(1, WORD_BLOCK // emb.shape[0])
     if x.shape[0] <= step or x.requires_grad:

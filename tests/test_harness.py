@@ -500,6 +500,19 @@ class TestCheckpointedTraining:
         assert code == 2
         assert "samples" in capsys.readouterr().err
 
+    def test_resume_without_trainer_state_is_data_error(self, workspace,
+                                                         tmp_path, capsys):
+        arrays, meta = load_checkpoint(workspace / "run" / "last.ckpt")
+        del meta["trainer"]
+        save_checkpoint(tmp_path / "bad.ckpt", arrays, meta)
+        code = cli.main(["train", "--corpus", str(workspace / "train.tokens"),
+                         "--valid", str(workspace / "valid.tokens"),
+                         "--config", str(workspace / "tiny.cfg"),
+                         "--resume", str(tmp_path / "bad.ckpt"),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "malformed metadata" in capsys.readouterr().err
+
     def test_finetune_from_checkpoint_runs(self, workspace, tmp_path):
         ft_cfg = tmp_path / "ft.cfg"
         ft_cfg.write_text(TINY_CONFIG.replace("mode = urnng",

@@ -1,6 +1,8 @@
 """Trainer tests: estimator correctness against enumeration oracles, the
 annealing/freezing/decay schedules, and bit-exact determinism of the loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,24 @@ class TestElboStep:
         elbos = [trainer.elbo_step(ids, anneal=1.0)["elbo_sum"]
                  for _ in range(40)]
         assert np.mean(elbos[-5:]) > np.mean(elbos[:5])
+
+    def test_longest_sentence_step_within_memory_budget(self):
+        # Desk config at the longest length the config accepts: B=2, K=8,
+        # T=150.  The traced peak is about 380 MB when the tape keeps only
+        # what its vjps read, and about 730 MB when it keeps every input.
+        cfg = TrainConfig(samples=8, batch_size=2, gen_dim=64, inf_hidden=64,
+                          seed=0)
+        model, net = build_models(cfg, 1000, np.random.default_rng(0))
+        trainer = Trainer(model, net, cfg)
+        ids = self.batch(vocab=1000, t=cfg.max_len, n=2, seed=1)
+        tracemalloc.start()
+        try:
+            diag = trainer.elbo_step(ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(diag["elbo_sum"])
+        assert peak < 500 * 2**20, peak / 2**20
 
 
 class TestSupervisedAndTrivial:
