@@ -46,6 +46,8 @@ __all__ = [
     "add_row",
     "concat",
     "dropout",
+    "dropout_pattern",
+    "dropped",
     "exp",
     "layer_norm",
     "log",
@@ -67,7 +69,6 @@ __all__ = [
     "sum_all",
     "sum_axis",
     "take_rows",
-    "take_steps",
     "tanh",
     "transpose",
 ]
@@ -222,8 +223,8 @@ class Tape:
     """Execution record for one differentiable computation.
 
     Use as a context manager; operations run inside the ``with`` block are
-    recorded.  ``backward`` may be called any number of times on scalars that
-    appear on this record, each call starting from a fresh accumulator.
+    recorded.  ``backward`` may run again on scalars of this record, from a
+    fresh accumulator, unless a vjp it reaches already freed what it reads.
     """
 
     __slots__ = ("_nodes", "_ref", "_keys", "__weakref__")
@@ -244,11 +245,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    @staticmethod
-    def active() -> bool:
-        """Whether some tape is recording."""
-        return bool(_tape_stack)
 
     def backward(self, root: Tensor) -> dict[Tensor, np.ndarray]:
         """Return, for every contributing leaf, d(root)/d(leaf).
@@ -456,22 +452,6 @@ def take_rows(x: Tensor, rows) -> Tensor:
                  lambda g: (_Factors(None, rows, g),))
 
 
-def take_steps(values: np.ndarray, steps: dict, idx: np.ndarray,
-               rows: np.ndarray) -> Tensor:
-    """``values``, whose row r is row ``rows[r]`` of ``steps[idx[r]]``.
-
-    One node serves every row: its vjp sends each of those step Tensors
-    the gradient of its own rows.  Steps missing from ``steps`` get none.
-    """
-    taped = [s for s in np.unique(idx).tolist() if s in steps]
-
-    def vjp(g):
-        picks = (idx == s for s in taped)
-        return tuple(_Factors(None, rows[m], g[m]) for m in picks)
-
-    return _emit("take_steps", values, tuple(steps[s] for s in taped), vjp)
-
-
 def pick_per_row(x: Tensor, cols) -> Tensor:
     """Select one entry per row of a matrix: ``out[i] = x[i, cols[i]]``."""
     cols = np.asarray(cols, dtype=np.int64)
@@ -614,14 +594,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _emit("layer_norm", out, (x, gain, bias), vjp)
 
 
+def dropout_pattern(shape, rate: float, rng: np.random.Generator | None):
+    """Where inverted dropout keeps an entry, one byte each; None when
+    ``rng`` is None or ``rate`` is zero."""
+    if rng is None or rate <= 0.0:
+        return None
+    _require(rate < 1.0, "dropout", f"rate must be < 1, got {rate}")
+    return rng.random(shape) < 1.0 - rate
+
+
+def dropped(x: np.ndarray, pattern: np.ndarray | None, rate: float):
+    """``x`` with the entries outside ``pattern`` zeroed and the rest scaled
+    by 1 / (1 - rate); the scaled mask lives only while the product forms."""
+    return x if pattern is None else x * (pattern / (1.0 - rate))
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when ``rng`` is None or ``rate`` is zero."""
-    if rng is None or rate <= 0.0:
+    pattern = dropout_pattern(x.shape, rate, rng)
+    if pattern is None:
         return x
-    _require(rate < 1.0, "dropout", f"rate must be < 1, got {rate}")
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
-    return _emit("dropout", x.data * mask, (x,), lambda g: (g * mask,))
+    return _emit("dropout", dropped(x.data, pattern, rate), (x,),
+                 lambda g: (dropped(g, pattern, rate),))
 
 
 # ---------------------------------------------------------------------------

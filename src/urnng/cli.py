@@ -88,17 +88,21 @@ def _save_trainer(path, trainer: Trainer, vocab: Vocabulary) -> None:
                     _checkpoint_metadata(trainer, vocab))
 
 
+def _read_checkpoint(path) -> tuple[dict, TrainConfig, Vocabulary, dict]:
+    """(arrays, config, vocabulary, trainer metadata) saved at ``path``."""
+    arrays, meta = load_checkpoint(path)
+    try:
+        return (arrays, TrainConfig(**meta["config"]),
+                Vocabulary(list(meta["vocab"])), meta["trainer"])
+    except (KeyError, TypeError) as err:
+        raise CheckpointError(f"{path}: malformed metadata: {err}") from err
+
+
 def _load_trainer(path, config: TrainConfig | None = None
                   ) -> tuple[Trainer, Vocabulary]:
     """The trainer saved at ``path``.  Given a ``config``, a new trainer for
     it that takes only the saved parameters; its optimizers start fresh."""
-    arrays, meta = load_checkpoint(path)
-    try:
-        saved = TrainConfig(**meta["config"])
-        vocab = Vocabulary(list(meta["vocab"]))
-        trainer_meta = meta["trainer"]
-    except (KeyError, TypeError) as err:
-        raise CheckpointError(f"{path}: malformed metadata: {err}") from err
+    arrays, saved, vocab, trainer_meta = _read_checkpoint(path)
     fresh = config is not None
     config = config if fresh else saved
     model, inference = build_models(config, len(vocab),
@@ -154,21 +158,26 @@ def cmd_train(args) -> int:
     if config.mode == "finetune" and args.from_checkpoint is None:
         raise UsageError("finetune mode needs --from-checkpoint")
 
-    if args.from_checkpoint is not None:
-        trainer, vocab = _load_trainer(args.from_checkpoint, config)
+    # a resumed run builds no trainer here: it restores one below
+    resuming = args.resume is not None
+    if args.from_checkpoint is None:
+        vocab = Vocabulary.build(_corpus_tokens(args.corpus),
+                                 min_count=args.min_count)
+        if not resuming:
+            models = build_models(config, len(vocab),
+                                  rng=np.random.default_rng(config.seed))
+            trainer = Trainer(*models, config)
+    elif resuming:
+        vocab = _read_checkpoint(args.from_checkpoint)[2]
     else:
-        tokens = _corpus_tokens(args.corpus)
-        vocab = Vocabulary.build(tokens, min_count=args.min_count)
-        model, inference = build_models(
-            config, len(vocab), rng=np.random.default_rng(config.seed))
-        trainer = Trainer(model, inference, config)
+        trainer, vocab = _load_trainer(args.from_checkpoint, config)
 
     with_trees = config.mode == "supervised"
     train_data = _load_corpus(args.corpus, vocab, with_trees=with_trees)
     val_data = _load_corpus(args.valid, vocab, with_trees=with_trees)
 
     os.makedirs(args.out, exist_ok=True)
-    if args.resume is not None:
+    if resuming:
         trainer, saved_vocab = _load_trainer(args.resume)
         if saved_vocab.tokens != vocab.tokens:
             raise DataError(f"{args.resume}: vocabulary does not match "

@@ -1,7 +1,9 @@
 """Small neural-network building blocks shared by the two models.
 
 Everything here is a pure function over :class:`~urnng.autodiff.Tensor`
-values; parameter creation and ownership live with the model classes.
+values, except the cell pair :func:`cell` and :func:`cell_vjp`, which work
+on plain arrays so that the stack model's reverse sweep can call them too;
+parameter creation and ownership live with the model classes.
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ from .autodiff import Tensor
 INIT_SCALE = 0.1
 
 
-def uniform_init(rng: np.random.Generator, shape, scale: float = INIT_SCALE) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
-
-
 def make_param(rng: np.random.Generator, name: str, shape,
                scale: float = INIT_SCALE) -> Tensor:
-    return Tensor(uniform_init(rng, shape, scale), requires_grad=True,
+    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True,
                   name=name)
 
 
@@ -61,51 +59,54 @@ def tied_word_log_prob(x: Tensor, emb: Tensor, b: Tensor, words) -> Tensor:
 
 def lstm_cell(x: Tensor, state: tuple[Tensor, Tensor], w: Tensor,
               b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step.  ``w`` is [(x_dim + hidden), 4 * hidden], gates i,f,o,g."""
+    """One LSTM step as one primitive.  ``w`` is [(x_dim + hidden),
+    4 * hidden], gates i,f,o,g."""
     h_prev, c_prev = state
-    return _gates(linear(ad.concat([x, h_prev], axis=1), w, b), (c_prev,))
-
-
-def tree_cell(left: tuple[Tensor, Tensor], right: tuple[Tensor, Tensor],
-              w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """Binary tree composition with one forget gate per child.
-
-    ``w`` is [2 * dim, 5 * dim] with gate order i, f_left, f_right, o, g.
-    The output depends on child order, so mirrored children compose to
-    different vectors.
-    """
-    (hl, cl), (hr, cr) = left, right
-    return _gates(linear(ad.concat([hl, hr], axis=1), w, b), (cl, cr))
-
-
-def _gates(z: Tensor, cells: tuple[Tensor, ...]) -> tuple[Tensor, Tensor]:
-    """(h, c) from the pre-activations ``z`` of a cell, as one primitive.
-
-    ``z`` holds the gates i, one forget gate f_k per previous cell state
-    ``cells[k]``, o and g.  Then c = f_1 c_1 + ... + i g and h = o tanh(c),
-    with the same elementwise ops in the same order as a composition of
-    single primitives, so the values match that composition to the bit.
-    """
-    d = cells[0].shape[-1]
-    split = (len(cells) + 2) * d
-    sig = ad.sigmoid_array(z.data[:, :split])       # i, f_1 .. f_k, o
-    g = np.tanh(z.data[:, split:])
-    i, o = sig[:, :d], sig[:, split - d:]
-    forget = [sig[:, k * d:(k + 1) * d] for k in range(1, len(cells) + 1)]
-    prev = [cell.data for cell in cells]
-    c = forget[0] * prev[0]
-    for f, cell in zip(forget[1:], prev[1:]):
-        c = c + f * cell
-    c = c + i * g
-    tanh_c = np.tanh(c)
+    h, c, saved = cell([x.data, h_prev.data], w.data, b.data, (c_prev.data,))
+    wd, split = w.data, x.shape[1]
 
     def vjp(grads):
-        gh, gc = (0.0 if grad is None else grad for grad in grads)
-        dc = gc + gh * o * (1.0 - tanh_c * tanh_c)
-        dsig = np.concatenate([dc * g, *(dc * cell for cell in prev),
-                               gh * tanh_c], axis=1)
-        dz = np.concatenate([dsig * sig * (1.0 - sig),
-                             dc * i * (1.0 - g * g)], axis=1)
-        return (dz, *(dc * f for f in forget))
+        dx, dz, (dc,) = cell_vjp(saved, wd, *grads)
+        return (dx[:, :split], dx[:, split:], dc,
+                ad._Factors(saved[0], None, dz), dz.sum(axis=0))
 
-    return ad._emit("cell_gates", (o * tanh_c, c), (z, *cells), vjp)
+    return ad._emit("lstm_cell", (h, c), (x, h_prev, c_prev, w, b), vjp)
+
+
+def cell(parts: list, w: np.ndarray, b: np.ndarray, cells: tuple):
+    """(h, c, saved) of one cell on plain arrays.
+
+    The input is ``parts`` side by side, and z = input @ w + b holds the
+    gates i, one forget gate f_k per previous cell state ``cells[k]``, o and
+    g.  Then c = f_1 c_1 + ... + i g and h = o tanh(c), with the same ops in
+    the same order as a composition of single primitives, so the values
+    match that composition to the bit.  ``saved`` is what :func:`cell_vjp`
+    reads.
+    """
+    xcat = np.concatenate(parts, axis=1)
+    z = xcat @ w + b
+    d = cells[0].shape[-1]
+    split = (len(cells) + 2) * d
+    sig = ad.sigmoid_array(z[:, :split])       # i, f_1 .. f_k, o
+    g = np.tanh(z[:, split:])
+    c = sig[:, d:2 * d] * cells[0]
+    for k, prev in enumerate(cells[1:], 2):
+        c = c + sig[:, k * d:(k + 1) * d] * prev
+    c = c + sig[:, :d] * g
+    tanh_c = np.tanh(c)
+    return sig[:, split - d:] * tanh_c, c, (xcat, sig, g, tanh_c, cells)
+
+
+def cell_vjp(saved, w: np.ndarray, gh, gc):
+    """(input gradient, dz, previous cell states' gradients) of :func:`cell`
+    with weight ``w``, given the gradients of h and c; None stands for 0."""
+    xcat, sig, g, tanh_c, cells = saved
+    d = g.shape[1]
+    gh, gc = (0.0 if grad is None else grad for grad in (gh, gc))
+    dc = gc + gh * sig[:, -d:] * (1.0 - tanh_c * tanh_c)
+    dsig = np.concatenate([dc * g, *(dc * prev for prev in cells),
+                           gh * tanh_c], axis=1)
+    dz = np.concatenate([dsig * sig * (1.0 - sig),
+                         dc * sig[:, :d] * (1.0 - g * g)], axis=1)
+    return dz @ w.T, dz, [dc * sig[:, k * d:(k + 1) * d]
+                          for k in range(1, len(cells) + 1)]

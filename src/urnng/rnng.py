@@ -22,19 +22,24 @@ so the stack top after step t-1 is always the element pushed at step t-1, and
 one LSTM step per layer serves all rows at once.  Without dropout the stack
 after step t depends only on the actions and words so far, so untaped rows
 that share that prefix share one node of the prefix trie, and the cells and
-heads run once per node.  The stack state is arrays indexed by stack position
-and node, so the state below each new element and the two children of every
-REDUCE are each read with one index op.
+heads run once per node.  Neither head feeds back into the stack, so the step
+loop runs only the recurrence; the action head then scores all steps in one
+pass, and the word head all SHIFT and EOS contexts in one tied-softmax pass
+(untaped, in blocks of bounded size), as the RNNLM baseline scores its words.
 
-Neither head feeds back into the stack, so the step loop runs only the
-recurrence and keeps each step's stack top.  The action head then scores all
-steps in one pass, and the word head all SHIFT and EOS contexts in one
-tied-softmax pass (untaped, in blocks of bounded size); the RNNLM baseline
-scores its words the same way.
+The recurrence runs on plain arrays indexed by stack position and node.  On
+a tape each step keeps [rows, ·] arrays only: the rows' new top positions,
+the SHIFT rows with their words, the REDUCE rows with their depths, what the
+tree cell (if any row reduced) and each LSTM cell save for their vjps, and
+boolean dropout patterns.  The contexts of all steps are one tape node whose
+vjp sweeps the steps in reverse with gradient buffers shaped like the state:
+a step reads and zeroes the gradients of the slots it wrote, runs its cells
+backward, and adds the gradients of what it read at their positions.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,71 +50,68 @@ from .autodiff import Tensor
 from .treebank import REDUCE, SHIFT, TreeRepr, actions_to_tree
 
 
-class _Slots:
-    """An (h, c) pair for every stack position of every node, as two arrays
-    [depth + 1, n, dim]; position 0 holds the zero pair under every stack.
-    For the tape, ``steps`` maps a step to each Tensor it wrote, if taped.
-    """
-
-    def __init__(self, depth: int, n_rows: int, dim: int):
-        self.data = np.zeros((2, depth + 1, n_rows, dim))
-        self.steps: tuple[dict, dict] = ({}, {})
-
-    def write(self, step: int, pos: np.ndarray, nodes: np.ndarray,
-              pair: tuple[Tensor, Tensor]) -> None:
-        """Store row r of each tensor of ``pair`` at (pos[r], nodes[r])."""
-        for data, steps, tensor in zip(self.data, self.steps, pair):
-            data[pos, nodes] = tensor.data
-            if tensor.requires_grad:
-                steps[step] = tensor
-
-    def read(self, pos: np.ndarray, nodes: np.ndarray,
-             written: np.ndarray) -> tuple[Tensor, Tensor]:
-        """The pairs at (pos[r], nodes[r]), which step written[r] wrote."""
-        return tuple(ad.take_steps(data[pos, nodes], steps, written, nodes)
-                     if steps else Tensor(data[pos, nodes])
-                     for data, steps in zip(self.data, self.steps))
+# A taped step's record, field by field as the module docstring lists it.
+_Step = namedtuple("_Step", "top shift words reduce depth tree cells drops")
 
 
 class _Stepper:
-    """Lockstep shift/reduce execution over n rows, one push per step.
+    """Lockstep shift/reduce execution over n rows on plain arrays.
 
-    Rows with the same actions over the same words so far share a prefix
-    node; ``node[r]`` is row r's.  The stack state is arrays indexed by
-    stack position and node: each layer's LSTM state after pushing the
-    element there, and that element's content (h, c).  A step maps each
-    distinct (node, action, word on SHIFT) to a child; a node's first child
-    keeps its slot and later ones get a copy, so the cells run once per
-    node (one per row of ``top``), and nodes never outnumber rows.  On a
-    tape or with dropout each row keeps a node of its own.  ``stack[i, p]``
-    is the step that pushed node i's element at p; it routes gradients.
+    ``h`` and ``c`` hold the stack state, shape [layers + 1, depth + 1, n,
+    dim]: at [l, p, i], layer l's LSTM state after node i pushed the element
+    at position p; at [layers, p, i], that element's content.  Position 0
+    holds the zero pair under every stack.  Rows with the same actions over
+    the same words so far share a prefix node, ``node[r]`` being row r's: a
+    step maps each distinct (node, action, word on SHIFT) to a child, a
+    node's first child keeps its slot and later ones get a copy, so the
+    cells run once per node (one per row of ``top``).  On a tape or with
+    dropout each row keeps a node of its own, and on a tape each step
+    appends a :data:`_Step` to ``record`` for :meth:`sweep`.
     """
 
     def __init__(self, model: "GenerativeModel", n_rows: int,
                  rng: np.random.Generator | None, depth: int):
         self.model = model
         self.rng = rng
-        dim = model.dim
-        self.state = [_Slots(depth, n_rows, dim) for _ in range(model.layers)]
-        self.content = _Slots(depth, n_rows, dim)
-        self.stack = np.zeros((n_rows, depth + 1), dtype=np.int64)
+        # the parameters the recurrence reads come first, in this order:
+        # the embedding, each layer's LSTM weight and bias, the tree cell's
+        self.inputs = tuple(model.params.values())[:2 * model.layers + 3]
+        taped = bool(ad._tape_stack) and any(t.requires_grad
+                                             for t in self.inputs)
+        shared = rng is None and not taped
+        # np.zeros, not zeros_like: pages no node touches stay unmapped
+        shape = (model.layers + 1, depth + 1, n_rows, model.dim)
+        self.h, self.c = np.zeros(shape), np.zeros(shape)
         self.depth = np.zeros(n_rows, dtype=np.int64)
         self.words_used = np.zeros(n_rows, dtype=np.int64)
-        shared = rng is None and not ad.Tape.active()
         self.node = np.zeros(n_rows, np.int64) if shared else np.arange(n_rows)
-        self.top = nn.zeros((1 if shared else n_rows, dim))  # node tops
-        self.t = 0
+        self.top = np.zeros((1 if shared else n_rows, model.dim))  # node tops
+        self.record = [] if taped else None
+        self.drops = []     # the keep patterns of the contexts
+
+    def drop(self, x: np.ndarray, patterns: list) -> np.ndarray:
+        """``x`` under dropout; its keep pattern is appended to ``patterns``."""
+        rate = self.model.dropout
+        patterns.append(ad.dropout_pattern(x.shape, rate, self.rng))
+        return ad.dropped(x, patterns[-1], rate)
+
+    def cell(self, parts: list, cells: tuple, w: Tensor, b: Tensor,
+             kept: list) -> tuple[np.ndarray, np.ndarray]:
+        """(h, c) of :func:`nn.cell`; on a tape what its vjp reads goes to
+        ``kept``, else it dies here."""
+        h, c, saved = nn.cell(parts, w.data, b.data, cells)
+        if self.record is not None:
+            kept.append(saved)
+        return h, c
 
     def step(self, actions: np.ndarray, word_ids: np.ndarray | None) -> None:
         """Advance every row one action; ``word_ids[r]`` is read on SHIFT rows."""
         model = self.model
-        p = model.params
         shift = actions == SHIFT
         bad = np.flatnonzero(~shift & (self.depth < 2))
         if bad.size:
             raise ValueError(f"row {bad[0]}: REDUCE with stack depth "
                              f"{self.depth[bad[0]]}")
-        # a SHIFT without a word reads word -1, which take_rows rejects
         words = np.where(shift, -1 if word_ids is None else word_ids, -1)
 
         # keys sort by parent node first; its first child keeps its slot
@@ -118,67 +120,107 @@ class _Stepper:
         parent = self.node[first]
         forks = np.flatnonzero(parent[1:] == parent[:-1]) + 1
         slot = parent.copy()
-        slot[forks] = len(self.top.data) + np.arange(forks.size)
+        slot[forks] = len(self.top) + np.arange(forks.size)
         old, new = parent[forks], slot[forks]
         top = self.depth[first[forks]].max(initial=0) + 1
-        for slots in (*self.state, self.content):
-            slots.data[:, :top, new] = slots.data[:, :top, old]
-        self.stack[new] = self.stack[old]
+        for state in (*self.h, *self.c):    # one layer's array at a time
+            state[:top, new] = state[:top, old]
         self.node = slot[child.ravel()]
         rows = first[np.argsort(slot)]      # a row of each node
         nodes = np.arange(rows.size)
 
-        shift_nodes = np.flatnonzero(shift[rows])
-        reduce_nodes = np.flatnonzero(~shift[rows])
-        composed = (None, None)
-        if reduce_nodes.size:
-            depth = self.depth[rows[reduce_nodes]]
-            def child_pair(pos):
-                return self.content.read(pos, reduce_nodes,
-                                         self.stack[reduce_nodes, pos])
-            composed = nn.tree_cell(child_pair(depth - 1), child_pair(depth),
-                                    p["gen.tree_w"], p["gen.tree_b"])
-
-        embedded = blank = None
-        if shift_nodes.size:
-            embedded = ad.take_rows(p["emb"], words[rows[shift_nodes]])
-            blank = nn.zeros((shift_nodes.size, model.dim))
-
-        self.t += 1
+        shifts = np.flatnonzero(shift[rows])
+        r = np.flatnonzero(~shift[rows])
+        shifted = words[rows[shifts]]
+        depth = self.depth[rows[r]]
+        if np.any((shifted < 0) | (shifted >= model.vocab_size)):
+            raise ValueError("SHIFT needs a word id in the vocabulary")
         self.depth += np.where(shift, 1, -1)
         self.words_used += shift
         top = self.depth[rows]
-        below = top - 1
-        # the LSTM state beneath the new push: the old top for SHIFT, the
-        # element under the two popped children for REDUCE
-        below_steps = self.stack[nodes, below]
-        self.stack[nodes, top] = self.t
+        below = top - 1     # the LSTM state beneath the new push
 
-        # the pushed element: the word for SHIFT nodes (its cell state is
-        # zero), the composition for REDUCE nodes
-        order = np.argsort(np.concatenate([shift_nodes, reduce_nodes]))
-        pushed = _merge(embedded, composed[0], order)
-        self.content.write(self.t, top, nodes,
-                           (pushed, _merge(blank, composed[1], order)))
-        inp = ad.dropout(pushed, model.dropout, self.rng)
+        # the pushed element, the state's last level: the word for SHIFT
+        # nodes (zero cell state), the two popped children composed for REDUCE
+        pushed, cell = np.zeros((2, rows.size, model.dim))
+        pushed[shifts] = self.inputs[0].data[shifted]
+        tree, cells, drops = [], [], []
+        if r.size:
+            pushed[r], cell[r] = self.cell(
+                [self.h[-1, depth - 1, r], self.h[-1, depth, r]],
+                (self.c[-1, depth - 1, r], self.c[-1, depth, r]),
+                *self.inputs[-2:], tree)
+        self.h[-1, top, nodes], self.c[-1, top, nodes] = pushed, cell
+        inp = self.drop(pushed, drops)
         for layer in range(model.layers):
-            state = self.state[layer].read(below, nodes, below_steps)
-            h, c = nn.lstm_cell(inp, state, p[f"gen.lstm_w{layer}"],
-                                p[f"gen.lstm_b{layer}"])
-            self.state[layer].write(self.t, top, nodes, (h, c))
+            h, c = self.cell([inp, self.h[layer, below, nodes]],
+                             (self.c[layer, below, nodes],),
+                             *self.inputs[1 + 2 * layer:3 + 2 * layer], cells)
+            self.h[layer, top, nodes], self.c[layer, top, nodes] = h, c
             if layer + 1 < model.layers:
-                inp = ad.dropout(h, model.dropout, self.rng)
+                inp = self.drop(h, drops)
+        if not np.isfinite(h).all():
+            raise ad.NumericError("stack step: non-finite state")
         self.top = h
+        if self.record is not None:
+            self.record.append(_Step(top, shifts, shifted, r, depth, tree,
+                                     cells, drops))
 
+    def output(self, contexts: list) -> Tensor:
+        """The ``contexts`` as one node; the state arrays are freed."""
+        self.shape = self.h.shape
+        del self.h, self.c
+        return ad._emit("stack_recurrence", np.concatenate(contexts),
+                        self.inputs, self.sweep)
 
-def _merge(shifted: Tensor | None, reduced: Tensor | None,
-           order: np.ndarray) -> Tensor:
-    """Rows of ``shifted`` then ``reduced``, put back in row order."""
-    if reduced is None:
-        return shifted
-    if shifted is None:
-        return reduced
-    return ad.take_rows(ad.concat([shifted, reduced], axis=0), order)
+    def sweep(self, g: np.ndarray) -> tuple:
+        """The partials of ``inputs`` given the gradient ``g`` of the
+        contexts.  Each step's record is dropped once swept, so this runs
+        once; weight partials fold as ``autodiff._accumulate`` folds them."""
+        inputs, rate, record = self.inputs, self.model.dropout, self.record
+        if len(record) + 1 != len(self.drops):
+            raise RuntimeError("stack recurrence: a backward swept it")
+        content, dim = self.shape[0] - 1, self.shape[-1]
+        g = g.reshape(len(self.drops), -1, dim)
+        rows = np.arange(g.shape[1])
+        dh, dc = np.zeros(self.shape), np.zeros(self.shape)
+        store, words, shifted = {}, [], []
+
+        def back(i, saved, gh, gc, read):
+            # a cell of two input parts backward: inputs[i], i + 1 (weight,
+            # bias) and each slot in ``read`` get partials; returns part 0's
+            dx, dz, dcells = nn.cell_vjp(saved, inputs[i].data, gh, gc)
+            for k, part in ((i, ad._Factors(saved[0], None, dz)),
+                            (i + 1, dz.sum(axis=0))):
+                ad._accumulate(store, k, inputs[k].shape, part)
+            dx = dx[:, :dim], dx[:, dim:]
+            for at, dh_part, dc_part in zip(read, dx[-len(read):], dcells):
+                dh[at] += dh_part
+                dc[at] += dc_part
+            return dx[0]
+
+        for t in range(len(record), 0, -1):
+            step = record.pop()
+            top, below = step.top, step.top - 1
+            # the slots this step wrote: their gradients, then zeros
+            gh, gc = dh[:, top, rows], dc[:, top, rows]
+            dh[:, top, rows] = dc[:, top, rows] = 0.0
+            grad = ad.dropped(g[t], self.drops[t], rate)
+            for layer in reversed(range(content)):
+                grad = ad.dropped(back(1 + 2 * layer, step.cells[layer],
+                                       gh[layer] + grad, gc[layer],
+                                       [(layer, below, rows)]),
+                                  step.drops[layer], rate)
+            gh = gh[content] + grad
+            words.append(step.words)
+            shifted.append(gh[step.shift])
+            r, d = step.reduce, step.depth
+            if step.tree:
+                back(len(inputs) - 2, step.tree[0], gh[r], gc[content, r],
+                     [(content, d - 1, r), (content, d, r)])
+        partials = [ad._formed(store.get(i)) for i in range(1, len(inputs))]
+        return (ad._Factors(None, np.concatenate(words),
+                            np.concatenate(shifted)), *partials)
 
 
 @dataclass
@@ -256,20 +298,18 @@ class GenerativeModel(_TiedLM):
         if np.any((actions == SHIFT).sum(axis=1) != t_len):
             raise ValueError(f"every row must contain exactly {t_len} SHIFTs")
 
-        # Only the recurrence runs per step.  Neither head feeds back into
-        # it, so both score every step's dropped-out node tops at the end.
         stepper = _Stepper(self, n, rng, t_len)
         contexts, free, at = [], [], []
         for step in range(steps + 1):
             free.append((stepper.depth >= 2) & (stepper.words_used < t_len))
             # each row's context: its node's top, after those of past steps
-            at.append(sum(len(c.data) for c in contexts) + stepper.node)
-            contexts.append(ad.dropout(stepper.top, self.dropout, rng))
+            at.append(sum(len(c) for c in contexts) + stepper.node)
+            contexts.append(stepper.drop(stepper.top, stepper.drops))
             if step < steps:
                 stepper.step(actions[:, step],
                              ids[np.arange(n), stepper.words_used % t_len])
-        context, at = ad.concat(contexts, axis=0), np.array(at)
-        del contexts    # untaped, this frees the per-step arrays
+        context, at = stepper.output(contexts), np.array(at)
+        del contexts
 
         p = self.params
         # the step after the final REDUCE has depth 1, so it is never free
@@ -328,8 +368,8 @@ class GenerativeModel(_TiedLM):
         actions = np.zeros((k, steps), dtype=np.int64)
         logprob = np.zeros(k)
         for step in range(steps):
-            hidden = stepper.top.data
-            logits = hidden @ p["gen.action_w"].data + p["gen.action_b"].data[0]
+            logits = (stepper.top @ p["gen.action_w"].data
+                      + p["gen.action_b"].data[0])
             p_reduce = ad.sigmoid_array(logits)[stepper.node]
             must_shift = stepper.depth < 2
             must_reduce = stepper.words_used >= t_len
@@ -358,30 +398,23 @@ class GenerativeModel(_TiedLM):
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         p = self.params
         stepper = _Stepper(self, 1, None, max_len)
-        emb_t = p["emb"].data.T
         ids: list[int] = []
         actions: list[int] = []
         total = 0.0
-        truncated = False
         eos_at_root = False
-        while True:
-            hidden = stepper.top.data[0]
-            logit = hidden @ p["gen.action_w"].data + p["gen.action_b"].data[0]
-            p_reduce = float(ad.sigmoid_array(logit))
-            can_reduce = stepper.depth[0] >= 2
-            if len(ids) >= max_len:
-                truncated = True
-                break
-            if can_reduce and rng.random() < p_reduce:
-                total += np.log(p_reduce)
-                actions.append(REDUCE)
-                stepper.step(np.array([REDUCE]), None)
-                continue
-            if can_reduce:
+        while len(ids) < max_len:
+            hidden = stepper.top[0]
+            if stepper.depth[0] >= 2:
+                p_reduce = float(ad.sigmoid_array(
+                    hidden @ p["gen.action_w"].data + p["gen.action_b"].data[0]))
+                if rng.random() < p_reduce:
+                    total += np.log(p_reduce)
+                    actions.append(REDUCE)
+                    stepper.step(np.array([REDUCE]), None)
+                    continue
                 total += np.log1p(-p_reduce)
-            word_logits = hidden @ emb_t + p["gen.word_b"].data
-            word_logits -= word_logits.max()
-            probs = np.exp(word_logits)
+            logits = hidden @ p["emb"].data.T + p["gen.word_b"].data
+            probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             word = int(rng.choice(self.vocab_size, p=probs))
             total += np.log(probs[word])
@@ -391,6 +424,7 @@ class GenerativeModel(_TiedLM):
             ids.append(word)
             actions.append(SHIFT)
             stepper.step(np.array([SHIFT]), np.array([word]))
+        truncated = len(ids) >= max_len     # EOS ends the loop before that
         if not ids:
             return GenerationResult((), (), None, total, truncated, True,
                                     eos_at_root)

@@ -33,116 +33,97 @@ def _random_scores(rng: np.random.Generator, length: int) -> SpanScores:
     return SpanScores.from_table(table)
 
 
-def _tiny_model(rng: np.random.Generator, vocab: int = 12) -> GenerativeModel:
-    return GenerativeModel(vocab, dim=8, layers=1, dropout=0.0,
-                           rng=rng)
-
-
 def _check_enumeration(rng, max_length, trials) -> PropertyResult:
     worst = ""
-    ok = True
     for t in range(1, max_length + 1):
         trees = oracle.enumerate_trees(t)
         if len(trees) != count_trees(t) or len(set(trees)) != len(trees):
-            ok = False
             worst = f"T={t}: {len(trees)} trees vs Catalan {count_trees(t)}"
-    return PropertyResult("enumeration matches Catalan counts", ok,
+    return PropertyResult("enumeration matches Catalan counts", not worst,
                           worst or f"T up to {max_length}")
 
 
-def _check_partition(rng, max_length, trials) -> PropertyResult:
+def _max_gap(rng, max_length, trials, gap, shortest=1) -> float:
+    """The largest ``gap(scores)`` over ``trials`` random score tables."""
     worst = 0.0
     for _ in range(trials):
-        t = int(rng.integers(1, max_length + 1))
-        scores = _random_scores(rng, t)
-        gap = abs(float(inside(scores).log_z.data[0])
-                  - oracle.exact_partition(scores))
-        worst = max(worst, gap)
+        t = int(rng.integers(shortest, max_length + 1))
+        worst = max(worst, gap(_random_scores(rng, t)))
+    return worst
+
+
+def _check_partition(rng, max_length, trials) -> PropertyResult:
+    worst = _max_gap(rng, max_length, trials, lambda scores: abs(
+        float(inside(scores).log_z.data[0]) - oracle.exact_partition(scores)))
     return PropertyResult("inside log-partition matches enumeration",
                           worst <= TOL, f"max gap {worst:.2e}")
 
 
 def _check_viterbi(rng, max_length, trials) -> PropertyResult:
-    worst = 0.0
-    for _ in range(trials):
-        t = int(rng.integers(1, max_length + 1))
-        scores = _random_scores(rng, t)
-        # only the score is compared: a different tree with the same score
-        # is a genuine tie and is accepted
-        _, score = viterbi(scores, 0)
-        _, best = oracle.exact_argmax(scores)
-        worst = max(worst, abs(score - best))
+    # only the score is compared: a different tree with the same score is a
+    # genuine tie and is accepted
+    worst = _max_gap(rng, max_length, trials, lambda scores: abs(
+        viterbi(scores, 0)[1] - oracle.exact_argmax(scores)[1]))
     return PropertyResult("Viterbi matches enumerated argmax",
                           worst <= TOL, f"max score gap {worst:.2e}")
 
 
 def _check_entropy(rng, max_length, trials) -> PropertyResult:
-    worst = 0.0
-    for _ in range(trials):
-        t = int(rng.integers(1, max_length + 1))
-        scores = _random_scores(rng, t)
-        chart = inside(scores)
-        gap = abs(float(tree_entropy(chart).data[0])
-                  - oracle.exact_entropy(scores))
-        worst = max(worst, gap)
+    worst = _max_gap(rng, max_length, trials, lambda scores: abs(
+        float(tree_entropy(inside(scores)).data[0])
+        - oracle.exact_entropy(scores)))
     return PropertyResult("chart entropy matches enumeration",
                           worst <= TOL, f"max gap {worst:.2e}")
 
 
 def _check_sampler_scores(rng, max_length, trials) -> PropertyResult:
-    worst = 0.0
-    for _ in range(trials):
-        t = int(rng.integers(2, max_length + 1))
-        scores = _random_scores(rng, t)
+    def gap(scores):
         chart = inside(scores)
         tree, log_q = sample_tree(chart, rng, 0)
         trees, probs = oracle.exact_distribution(scores)
         exact = float(np.log(probs[trees.index(tree)]))
-        reported = tree_log_prob(chart, tree, 0)
-        worst = max(worst, abs(log_q - exact), abs(reported - exact))
+        return max(abs(log_q - exact),
+                   abs(tree_log_prob(chart, tree, 0) - exact))
+
+    worst = _max_gap(rng, max_length, trials, gap, shortest=2)
     return PropertyResult("sampled-tree log q matches enumeration",
                           worst <= TOL, f"max gap {worst:.2e}")
 
 
-def _check_action_normalization(rng, max_length, trials) -> PropertyResult:
-    model = _tiny_model(rng)
-    worst = 0.0
+def _model_gaps(rng, max_length, trials, gap, shortest=1) -> list[float]:
+    """``gap(model, ids)`` for a quarter of ``trials`` random sentences."""
+    model = GenerativeModel(12, dim=8, layers=1, dropout=0.0, rng=rng)
+    gaps = []
     for _ in range(max(1, trials // 4)):
-        t = int(rng.integers(1, max_length + 1))
-        ids = rng.integers(2, 12, size=t)
-        total = 0.0
-        for tree in oracle.enumerate_trees(t):
-            total += np.exp(model.joint_log_likelihood(ids, tree)[1])
-        worst = max(worst, abs(total - 1.0))
+        t = int(rng.integers(shortest, max_length + 1))
+        gaps.append(gap(model, rng.integers(2, 12, size=t)))
+    return gaps
+
+
+def _check_action_normalization(rng, max_length, trials) -> PropertyResult:
+    worst = max(_model_gaps(rng, max_length, trials, lambda model, ids: abs(
+        sum(np.exp(model.joint_log_likelihood(ids, tree)[1])
+            for tree in oracle.enumerate_trees(len(ids))) - 1.0)))
     return PropertyResult("action probabilities sum to one over trees",
                           worst <= 1e-8, f"max gap {worst:.2e}")
 
 
 def _check_marginal(rng, max_length, trials) -> PropertyResult:
-    model = _tiny_model(rng)
-    worst = 0.0
-    for _ in range(max(1, trials // 4)):
-        t = int(rng.integers(1, max_length + 1))
-        ids = rng.integers(2, 12, size=t)
-        joints = [sum(model.joint_log_likelihood(ids, tree))
-                  for tree in oracle.enumerate_trees(t)]
-        top = max(joints)
-        lse = top + np.log(np.exp(np.array(joints) - top).sum())
-        worst = max(worst, abs(lse - oracle.exact_marginal(model, ids)))
+    def gap(model, ids):
+        joints = np.array([sum(model.joint_log_likelihood(ids, tree))
+                           for tree in oracle.enumerate_trees(len(ids))])
+        lse = joints.max() + np.log(np.exp(joints - joints.max()).sum())
+        return abs(lse - oracle.exact_marginal(model, ids))
+
+    worst = max(_model_gaps(rng, max_length, trials, gap))
     return PropertyResult("joint sum matches exact marginal",
                           worst <= TOL, f"max gap {worst:.2e}")
 
 
 def _check_elbo_bound(rng, max_length, trials) -> PropertyResult:
-    model = _tiny_model(rng)
-    worst = np.inf
-    for _ in range(max(1, trials // 4)):
-        t = int(rng.integers(2, max_length + 1))
-        ids = rng.integers(2, 12, size=t)
-        scores = _random_scores(rng, t)
-        gap = (oracle.exact_marginal(model, ids)
-               - oracle.exact_elbo(model, scores, ids))
-        worst = min(worst, gap)
+    worst = min(_model_gaps(rng, max_length, trials, lambda model, ids: (
+        oracle.exact_marginal(model, ids) - oracle.exact_elbo(
+            model, _random_scores(rng, len(ids)), ids)), shortest=2))
     return PropertyResult("ELBO never exceeds the marginal",
                           worst >= -TOL, f"min KL {worst:.2e}")
 

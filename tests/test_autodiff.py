@@ -440,6 +440,26 @@ class TestTapeKeepsWhatBackwardReads:
         assert held < 60 * step_bytes, held / step_bytes
         assert model.params["emb"] in tape.backward(root)
 
+    def test_dropout_keeps_a_boolean_pattern(self):
+        # the node keeps one byte per entry, not a float64 mask, and its
+        # values and gradients are those of the float mask to the bit
+        r = rng()
+        x = param(r, 300, 200, name="x")
+        weights = Tensor(r.standard_normal((300, 200)))
+        rate, keep = 0.3, 0.7
+        mask = (np.random.default_rng(8).random(x.shape) < keep) / keep
+
+        def forward():
+            return ad.dropout(x, rate, np.random.default_rng(8))
+
+        held, tape, out = held_after(forward)
+        assert held < out.data.nbytes + 2 * x.data.size, held / x.data.size
+        np.testing.assert_array_equal(out.data, x.data * mask)
+        with tape:
+            root = ad.sum_all(ad.mul(out, weights))
+        np.testing.assert_array_equal(tape.backward(root)[x],
+                                      weights.data * mask)
+
     def test_gradients_unchanged_when_dead_outputs_ids_are_reused(self):
         # Nodes keep no intermediate Tensor, so those die during the forward
         # and later tensors on the same tape reuse their ids.
@@ -523,22 +543,3 @@ class TestSharedHelpers:
                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         np.testing.assert_array_equal(ad.sigmoid_array(x), old)
         np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, old)
-
-    def test_take_steps_routes_each_row_to_its_step(self):
-        r = rng()
-        steps = {s: param(r, 5, 3, name=f"s{s}") for s in (1, 2, 4)}
-        untaped = Tensor(r.standard_normal((5, 3)))
-        table = {**{s: t.data for s, t in steps.items()}, 3: untaped.data}
-        idx = np.array([4, 1, 3, 4, 2, 1])
-        rows = np.array([0, 0, 2, 3, 4, 4])
-        weights = Tensor(r.standard_normal((6, 3)))
-
-        def f():
-            values = np.stack([table[s][row] for s, row in zip(idx, rows)])
-            out = ad.take_steps(values, steps, idx, rows)
-            return ad.sum_all(ad.mul(ad.tanh(out), weights))
-
-        with Tape() as tape:
-            f()
-        assert len(tape) == 4
-        assert_grads_ok(f, list(steps.values()))

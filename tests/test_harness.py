@@ -4,6 +4,7 @@ the command-line contracts (exit codes, file outputs, resumability)."""
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -487,6 +488,28 @@ class TestCheckpointedTraining:
         straight = (workspace / "run" / "last.ckpt").read_bytes()
         resumed = (tmp_path / "resumed" / "last.ckpt").read_bytes()
         assert straight == resumed
+
+    @pytest.mark.parametrize("fine_tuned", [False, True])
+    def test_resume_builds_no_trainer_of_its_own(self, workspace, tmp_path,
+                                                 monkeypatch, fine_tuned):
+        # cmd_train itself builds no models when it resumes; the only
+        # trainer is the one restored from the checkpoint
+        build, built = cli.build_models, []
+
+        def counted(*args, **kwargs):
+            built.append(sys._getframe(1).f_code.co_name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_models", counted)
+        source = ["--from-checkpoint", str(workspace / "run" / "best.ckpt")]
+        assert cli.main(["train", "--corpus", str(workspace / "train.tokens"),
+                         "--valid", str(workspace / "valid.tokens"),
+                         "--config", str(workspace / "tiny.cfg"),
+                         *(source if fine_tuned else []),
+                         "--resume", str(workspace / "run" / "last.ckpt"),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert built.count("cmd_train") == 0
+        assert built == ["_load_trainer"]
 
     def test_resume_with_changed_config_is_rejected(self, workspace,
                                                     tmp_path, capsys):

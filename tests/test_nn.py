@@ -1,9 +1,12 @@
-"""The fused LSTM and tree-LSTM cells against the op-by-op composition.
+"""The fused LSTM cell and the array-level cell pair against the op-by-op
+composition.
 
-``nn.lstm_cell`` and ``nn.tree_cell`` record concat, matmul and add_row and
-then one primitive for the gates and the state update.  The compositions
-below build the same cells from single primitives; the fused forward must
-match them bit for bit, and its hand-written vjp must pass ``grad_check``.
+``nn.lstm_cell`` records one primitive for the concat, matmul, bias and
+gates; the stack model's tree cell runs ``nn.cell`` and ``nn.cell_vjp`` on
+plain arrays, and ``tree_cell`` below wraps that pair as one test node.  The
+compositions build the same cells from single primitives; the fused forward
+must match them bit for bit, and the hand-written vjps must pass
+``grad_check``.
 """
 
 import numpy as np
@@ -40,6 +43,23 @@ def unfused_tree_cell(left, right, w, b):
     c = ad.add(ad.add(ad.mul(fl, cl), ad.mul(fr, cr)), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
     return h, c
+
+
+def tree_cell(left, right, w, b):
+    """Binary tree composition with one forget gate per child, on the
+    array-level cell pair: ``w`` is [2 * dim, 5 * dim] with gate order i,
+    f_left, f_right, o, g."""
+    (hl, cl), (hr, cr) = left, right
+    dim = hl.shape[1]
+    h, c, saved = nn.cell([hl.data, hr.data], w.data, b.data,
+                          (cl.data, cr.data))
+
+    def vjp(grads):
+        dx, dz, (dcl, dcr) = nn.cell_vjp(saved, w.data, *grads)
+        return (dx[:, :dim], dcl, dx[:, dim:], dcr, saved[0].T @ dz,
+                dz.sum(axis=0))
+
+    return ad._emit("tree_cell", (h, c), (hl, cl, hr, cr, w, b), vjp)
 
 
 def param(r, *shape, name="p", scale=1.0):
@@ -82,7 +102,7 @@ class TestForwardBitIdentity:
     def test_tree_cell(self, n, _, dim, scale):
         left, right, w, b = tree_inputs(np.random.default_rng(n), n, dim,
                                         scale)
-        for got, want in zip(nn.tree_cell(left, right, w, b),
+        for got, want in zip(tree_cell(left, right, w, b),
                              unfused_tree_cell(left, right, w, b)):
             np.testing.assert_array_equal(got.data, want.data)
 
@@ -114,7 +134,7 @@ class TestGradients:
         left, right, w, b = tree_inputs(np.random.default_rng(5), 3, 2)
 
         def f():
-            h, c = nn.tree_cell(left, right, w, b)
+            h, c = tree_cell(left, right, w, b)
             return ad.add(ad.sum_all(ad.mul(h, h)), ad.sum_all(ad.mul(c, c)))
 
         report = grad_check(f, [*left, *right, w, b])
@@ -145,17 +165,17 @@ class TestGradients:
             g = tape.backward(root)
             return [g[p] for p in leaves]
 
-        for got, want in zip(grads(nn.tree_cell), grads(unfused_tree_cell)):
+        for got, want in zip(grads(tree_cell), grads(unfused_tree_cell)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestTape:
-    def test_cell_records_four_nodes(self):
-        # concat, matmul and add_row stay separate, then one gates node
+    def test_cell_records_one_node(self):
+        # the concat, matmul, bias and gates are one primitive
         x, state, w, b = lstm_inputs(np.random.default_rng(9), 2, 3, 2)
         with Tape() as tape:
             h, c = nn.lstm_cell(x, state, w, b)
-        assert len(tape) == 4
+        assert len(tape) == 1
         assert h.node is c.node
 
     def test_untaped_outputs_are_plain(self):

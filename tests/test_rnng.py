@@ -561,14 +561,16 @@ class TestPrefixSharing:
 
     @staticmethod
     def count_cell_rows(monkeypatch):
+        # the rows of each LSTM cell, the cells with one previous state
         rows = []
-        cell = nn.lstm_cell
+        cell = nn.cell
 
-        def counted(x, *args):
-            rows.append(x.shape[0])
-            return cell(x, *args)
+        def counted(parts, w, b, cells):
+            if len(cells) == 1:
+                rows.append(parts[0].shape[0])
+            return cell(parts, w, b, cells)
 
-        monkeypatch.setattr(nn, "lstm_cell", counted)
+        monkeypatch.setattr(nn, "cell", counted)
         return rows
 
     def test_prior_sampler_runs_one_row_per_distinct_prefix(self,
@@ -629,3 +631,103 @@ class TestPrefixSharing:
             for term, act in (untaped, taped):
                 assert term.data[row] == pytest.approx(want[0], abs=1e-10)
                 assert act.data[row] == pytest.approx(want[1], abs=1e-10)
+
+
+class TestStackSweep:
+    """A taped joint is one node for the whole stack recurrence; its vjp is
+    a hand-written reverse sweep over the steps."""
+
+    @staticmethod
+    def mixed_rows():
+        # three shapes of tree over four words, so the rows sit at different
+        # depths at most steps, and every row reduces at some step
+        acts = np.array([left_branching(4).actions, right_branching(4).actions,
+                         (S, S, R, S, S, R, R)])
+        return np.random.default_rng(64).integers(2, 6, size=(3, 4)), acts
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_grad_check_every_parameter(self, layers, dropout):
+        model = tiny_model(seed=65, vocab=6, dim=3, layers=layers,
+                           dropout=dropout)
+        ids, acts = self.mixed_rows()
+        assert len({tuple(a) for a in acts}) == 3
+
+        def f():
+            terminal, action = model.joint_log_likelihood_batch(
+                ids, acts, rng=np.random.default_rng(66))
+            return ad.sum_all(ad.add(terminal, ad.scale(action, 0.5)))
+
+        report = grad_check(f, list(model.params.values()))
+        assert report.passed, report
+
+    def test_gradients_match_recorded(self):
+        # recorded from the op-by-op taped stepper this sweep replaced: per
+        # parameter, its gradient summed against fixed positive weights, as
+        # is and in absolute value; only summation order may differ
+        recorded = {
+            "emb": (0.03213158736536283, 0.7959547052403998),
+            "gen.lstm_w0": (0.00038397809312348656, 0.004484126729930993),
+            "gen.lstm_b0": (0.010192420625380944, 0.044049038559953964),
+            "gen.lstm_w1": (0.004235919325169416, 0.04011637488002263),
+            "gen.lstm_b1": (0.20389179918997313, 0.42851473625622993),
+            "gen.tree_w": (-5.969198436026495e-05, 0.0002779454373425744),
+            "gen.tree_b": (-0.0001522338348086392, 0.0007778020858237519),
+            "gen.action_w": (-0.026491802449431508, 0.05258334200400407),
+            "gen.action_b": (1.7134898001022245, 1.7134898001022245),
+            "gen.word_b": (-0.507557466879232, 13.203967225272597),
+        }
+        model = GenerativeModel(7, dim=4, dropout=0.5,
+                                rng=np.random.default_rng(60))
+        rng = np.random.default_rng(61)
+        ids = rng.integers(2, 7, size=(4, 6))
+        acts = np.array([random_tree(6, rng).actions for _ in range(4)])
+        with Tape() as tape:
+            terminal, action = model.joint_log_likelihood_batch(
+                ids, acts, rng=np.random.default_rng(62))
+            root = ad.sum_all(ad.add(terminal, ad.scale(action, 0.5)))
+        grads = tape.backward(root)
+        weights = np.random.default_rng(63)
+        for name, p in model.params.items():
+            w = weights.uniform(0.5, 1.5, size=p.shape)
+            got = ((grads[p] * w).sum(), (np.abs(grads[p]) * w).sum())
+            np.testing.assert_allclose(got, recorded[name], rtol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_nan_weight_raises(self, taped):
+        model = tiny_model(seed=67)
+        model.params["gen.lstm_w0"].data[0, 0] = np.nan
+        ids, acts = self.mixed_rows()
+        with pytest.raises(ad.NumericError):
+            if taped:
+                with Tape():
+                    model.joint_log_likelihood_batch(
+                        ids, acts, rng=np.random.default_rng(0))
+            else:
+                model.joint_log_likelihood_batch(ids, acts)
+
+    def test_taped_joint_nodes_do_not_grow_with_length(self):
+        model = tiny_model(seed=68, vocab=20, dim=4, dropout=0.5)
+        rng = np.random.default_rng(69)
+        counts = []
+        for t in (12, 48):
+            ids = rng.integers(2, 20, size=(8, t))
+            acts = np.array([random_tree(t, rng).actions for _ in range(8)])
+            with Tape() as tape:
+                terminal, action = model.joint_log_likelihood_batch(
+                    ids, acts, rng=np.random.default_rng(0))
+                ad.sum_all(ad.add(terminal, action))
+            counts.append(len(tape))
+        assert counts[0] == counts[1] <= 30
+
+    def test_second_backward_through_the_joint_raises(self):
+        # the sweep drops each step's record, so it can run only once
+        model = tiny_model(seed=70)
+        ids, acts = self.mixed_rows()
+        with Tape() as tape:
+            terminal, action = model.joint_log_likelihood_batch(ids, acts)
+            root = ad.sum_all(ad.add(terminal, action))
+        assert model.params["gen.lstm_w0"] in tape.backward(root)
+        with pytest.raises(RuntimeError, match="stack recurrence"):
+            tape.backward(root)
