@@ -16,7 +16,8 @@ that a weight shared by many time steps gets its gradient from one GEMM or
 one scatter instead of a full-size array per step: the right-operand partial
 ``a.T @ g`` of :func:`matmul` and the scatter of :func:`take_rows`.  They are
 formed when the receiving node's vjp runs, or when ``backward`` returns for a
-leaf.  All other partials are summed densely as they arrive.
+leaf.  All other partials are summed densely as they arrive; a vjp that
+formed such a running sum itself hands it over whole, to be adopted.
 
 All operations check their outputs for NaN/Inf by default and raise
 :class:`NumericError` on violation; see :func:`set_check_finite`.
@@ -147,7 +148,8 @@ _Factors = namedtuple("_Factors", "a rows g")
 
 
 def _plus(total, part) -> np.ndarray:
-    # The first partial is copied, so later ones can be added in place.
+    # The first dense partial is copied, so later ones can be added in place;
+    # it may alias a live array (``add``'s (g, g), views from ``reshape``).
     if total is None:
         return np.array(part, dtype=np.float64, order="C")
     total += part
@@ -199,9 +201,13 @@ def _formed(entry):
 
 def _accumulate(store: dict, key, shape: tuple, part) -> None:
     # Dense partials stay plain arrays; a tensor's entry becomes a _Sum only
-    # once a factored partial arrives for it.
+    # once a factored partial arrives for it, or as the _Sum a vjp returns.
     entry = store.get(key)
+    if entry is None and type(part) is _Sum:
+        store[key] = part
+        return
     if type(part) is not _Factors:
+        part = _formed(part)
         if type(entry) is _Sum:
             entry.dense = _plus(entry.dense, part)
         else:
@@ -246,16 +252,18 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def backward(self, root: Tensor) -> dict[Tensor, np.ndarray]:
+    def backward(self, root: Tensor, leaves=None) -> dict[Tensor, np.ndarray]:
         """Return, for every contributing leaf, d(root)/d(leaf).
 
         ``root`` must be a scalar produced on this tape.  Leaves are tensors
-        with ``requires_grad`` set that were not themselves produced here.
-        Leaves that do not influence ``root`` are absent from the result.
+        with ``requires_grad`` set that were not themselves produced here;
+        given ``leaves``, only those get a gradient.  Leaves that do not
+        influence ``root`` are absent from the result.
 
         Right-operand partials of ``matmul`` and partials of ``take_rows``
         are held as factors and formed by one GEMM and one scatter per
-        tensor, when its vjp runs or, for a leaf, before this returns.
+        tensor, when its vjp runs or, for a leaf, before this returns; a
+        ``_Sum`` that a vjp returns is adopted, not copied.
         """
         if root.data.size != 1:
             raise ShapeError(
@@ -264,8 +272,9 @@ class Tape:
         if root.node is None or root.node.tape() is not self:
             raise ValueError("backward: root was not produced on this tape")
 
+        wanted = None if leaves is None else set(leaves)
         pending: dict[int, np.ndarray | _Sum] = {root.key: np.ones_like(root.data)}
-        leaves: dict[Tensor, np.ndarray | _Sum] = {}
+        grads: dict[Tensor, np.ndarray | _Sum] = {}
         for node in reversed(self._nodes):
             many = type(node.out) is tuple
             g = [_formed(pending.pop(key, None))
@@ -278,9 +287,9 @@ class Tape:
                     continue
                 if type(src) is tuple:
                     _accumulate(pending, *src, part)
-                else:
-                    _accumulate(leaves, src, src.shape, part)
-        return {t: _formed(g) for t, g in leaves.items()}
+                elif wanted is None or src in wanted:
+                    _accumulate(grads, src, src.shape, part)
+        return {t: _formed(g) for t, g in grads.items()}
 
 
 def _emit(opname: str, out_data, inputs: tuple, vjp):
@@ -483,9 +492,8 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Logistic function of a plain array, stable in both tails: exp of a
-    non-positive argument only."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    non-positive argument only, and no branch per entry."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -500,7 +508,7 @@ def tanh(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    return _emit("relu", np.where(mask, x.data, 0.0), (x,),
+    return _emit("relu", np.maximum(x.data, 0.0), (x,),
                  lambda g: (g * mask,))
 
 

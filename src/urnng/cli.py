@@ -12,6 +12,7 @@ import dataclasses
 import os
 import sys
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -105,8 +106,9 @@ def _load_trainer(path, config: TrainConfig | None = None
     arrays, saved, vocab, trainer_meta = _read_checkpoint(path)
     fresh = config is not None
     config = config if fresh else saved
-    model, inference = build_models(config, len(vocab),
-                                    rng=np.random.default_rng(config.seed))
+    # every parameter is loaded below, so none is drawn: each starts as zeros
+    undrawn = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size))
+    model, inference = build_models(config, len(vocab), rng=undrawn)
     trainer = Trainer(model, inference, config)
     if fresh:
         trainer.load_parameters(arrays)

@@ -37,24 +37,48 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add_row(ad.matmul(x, w), b)
 
 
-WORD_BLOCK = 1 << 20    # most logits one untaped tied-softmax pass forms
+WORD_BLOCK = 1 << 20    # most logits one tied-softmax block forms
+
+
+def word_log_softmax(x: np.ndarray, emb: np.ndarray, b: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """log_softmax(x @ emb.T + b) over the vocabulary, formed in ``out``
+    (a new array if None) with the ops and order of the unfused chain."""
+    z = np.matmul(x, emb.T, out=out)
+    z += b
+    z -= z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z
 
 
 def tied_word_log_prob(x: Tensor, emb: Tensor, b: Tensor, words) -> Tensor:
     """log p(words[r] | x[r]) under a softmax whose output weights are the
-    transposed embedding table ``emb`` and whose bias is ``b``.  Untaped, rows
-    go ``WORD_BLOCK`` logits at a time, so the [rows, vocab] arrays stay
-    bounded; a tape keeps each pass's log-softmax anyway, so it gets one."""
-    emb_t = ad.transpose(emb)
-    step = max(1, WORD_BLOCK // emb.shape[0])
-    if x.shape[0] <= step or x.requires_grad:
-        blocks = [(x, words)]
-    else:
-        blocks = [(Tensor(x.data[lo:lo + step]), words[lo:lo + step])
-                  for lo in range(0, x.shape[0], step)]
-    parts = [ad.pick_per_row(ad.log_softmax(linear(rows, emb_t, b), axis=1),
-                             targets) for rows, targets in blocks]
-    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    embedding table ``emb`` and whose bias is ``b``: one primitive, run
+    ``WORD_BLOCK`` logits at a time.  Untaped, each block's log-softmax dies
+    with it; taped, the blocks fill one [rows, vocab] array, which the one
+    backward turns into the logits' gradient in place."""
+    xd, ed, words = x.data, emb.data, np.asarray(words, dtype=np.int64)
+    n, vocab = xd.shape[0], ed.shape[0]
+    ad._require(words.shape == (n,) and ((words >= 0) & (words < vocab)).all(),
+                "tied_word_log_prob", f"need {n} word ids in the vocabulary")
+    step, rows = max(1, WORD_BLOCK // vocab), np.arange(n)
+    taped = bool(ad._tape_stack) and any(t.requires_grad for t in (x, emb, b))
+    kept, picked = np.empty((n, vocab)) if taped else None, np.empty(n)
+    for lo in range(0, n, step):
+        block = word_log_softmax(xd[lo:lo + step], ed, b.data,
+                                 None if kept is None else kept[lo:lo + step])
+        picked[lo:lo + step] = block[rows[:len(block)], words[lo:lo + step]]
+
+    def vjp(g):
+        nonlocal kept
+        if kept is None:
+            raise RuntimeError("tied word head: a backward consumed it")
+        dl, kept = np.exp(kept, out=kept), None     # the softmax
+        dl *= -g[:, None]
+        dl[rows, words] += g
+        return dl @ ed, ad._Factors(dl, None, xd), dl.sum(axis=0)
+
+    return ad._emit("tied_word_log_prob", picked, (x, emb, b), vjp)
 
 
 def lstm_cell(x: Tensor, state: tuple[Tensor, Tensor], w: Tensor,

@@ -1,7 +1,8 @@
 """Gradient ascent plumbing: SGD and Adam over named parameter groups.
 
 Each optimizer owns a name -> Tensor map and consumes the Tensor-keyed
-gradient dicts produced by ``Tape.backward``.  Clipping rescales the whole
+gradient dicts produced by ``Tape.backward``; SGD consumes them literally,
+scaling each gradient in place into its update.  Clipping rescales the whole
 group to a global-norm budget before the update, and ``step`` returns the
 pre-clip norm for diagnostics.  State accessors expose everything needed to
 reproduce subsequent steps bit-for-bit after a checkpoint round trip.
@@ -37,7 +38,8 @@ class SGD:
         norm = global_norm([g for _, _, g in picked])
         scale = self.clip / norm if norm > self.clip else 1.0
         for name, p, g in picked:
-            p.data -= self.lr[name] * scale * g
+            g *= self.lr[name] * scale
+            p.data -= g
         return norm
 
     def decay(self, factor: float) -> None:

@@ -176,7 +176,8 @@ class _Stepper:
     def sweep(self, g: np.ndarray) -> tuple:
         """The partials of ``inputs`` given the gradient ``g`` of the
         contexts.  Each step's record is dropped once swept, so this runs
-        once; weight partials fold as ``autodiff._accumulate`` folds them."""
+        once; weight partials fold as ``autodiff._accumulate`` folds them
+        and go back unformed, for the backward to adopt."""
         inputs, rate, record = self.inputs, self.model.dropout, self.record
         if len(record) + 1 != len(self.drops):
             raise RuntimeError("stack recurrence: a backward swept it")
@@ -218,9 +219,9 @@ class _Stepper:
             if step.tree:
                 back(len(inputs) - 2, step.tree[0], gh[r], gc[content, r],
                      [(content, d - 1, r), (content, d, r)])
-        partials = [ad._formed(store.get(i)) for i in range(1, len(inputs))]
         return (ad._Factors(None, np.concatenate(words),
-                            np.concatenate(shifted)), *partials)
+                            np.concatenate(shifted)),
+                *(store.get(i) for i in range(1, len(inputs))))
 
 
 @dataclass

@@ -346,14 +346,14 @@ class Trainer:
 
     def _update(self, tape: Tape, theta_loss: Tensor,
                 phi_loss: Tensor | None, update: bool) -> dict:
-        """Backpropagate each loss and step its optimizer, if ``update``.
-        The gradient norms are 0.0 for an optimizer that did not step."""
-        theta_norm = phi_norm = 0.0
-        if update:
-            theta_norm = self.theta_opt.step(tape.backward(theta_loss))
-            if phi_loss is not None:
-                phi_norm = self.phi_opt.step(tape.backward(phi_loss))
-        return {"theta_grad_norm": theta_norm, "phi_grad_norm": phi_norm}
+        """Backpropagate each loss to its optimizer's own parameters and
+        step it, if ``update``; 0.0 is the norm of one that did not step."""
+        norms = {"theta_grad_norm": 0.0, "phi_grad_norm": 0.0}
+        for key, loss, opt in zip(norms, (theta_loss, phi_loss),
+                                  (self.theta_opt, self.phi_opt)):
+            if update and loss is not None:
+                norms[key] = opt.step(tape.backward(loss, opt.params.values()))
+        return norms
 
     # -- validation ------------------------------------------------------------
 

@@ -217,6 +217,48 @@ class TestTapeSemantics:
         grads = tape.backward(out)
         assert a in grads and c not in grads
 
+    def test_backward_forms_only_the_leaves_asked_for(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        table = Tensor(np.ones((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            rows = ad.sum_axis(ad.take_rows(table, [2, 0]), 1)
+            out = ad.sum_all(ad.mul(ad.mul(a, b), rows))
+        want = tape.backward(out)
+        got = tape.backward(out, [a])
+        assert set(got) == {a}
+        np.testing.assert_array_equal(got[a], want[a])
+        assert set(tape.backward(out, (b, table))) == {b, table}
+
+    @pytest.mark.parametrize("order", ["arrives first", "arrives last",
+                                       "alone"])
+    def test_a_running_sum_from_a_vjp_is_adopted_or_joined(self, order):
+        # a vjp may hand back a _Sum it formed itself (the stack sweep does):
+        # as the first partial it becomes the entry, else it joins the
+        # entry, dense or factored, to the same gradient as matmul gives
+        r = rng()
+        w = param(r, 3, 4, name="w")
+        x = Tensor(r.standard_normal((5, 3)))
+
+        def summed(t):
+            def vjp(g):
+                total = ad._Sum(None, t.shape)
+                total.factors.append(ad._Factors(x.data, None, g))
+                return (total,)
+            return ad._emit("summed", x.data @ t.data, (t,), vjp)
+
+        # the backward meets the nodes in reverse order of recording
+        heads = {"arrives last": (summed, ad.matmul), "alone": (summed,),
+                 "arrives first": (ad.matmul, summed)}[order]
+        with Tape() as tape:
+            outs = [head(w) if head is summed else head(x, w)
+                    for head in heads]
+            out = ad.sum_all(ad.concat([ad.tanh(o) for o in outs]))
+        got = tape.backward(out)[w]
+        g = 1.0 - np.tanh(x.data @ w.data) ** 2
+        np.testing.assert_allclose(got, len(heads) * (x.data.T @ g),
+                                   rtol=1e-12)
+
     def test_reused_leaf_accumulates(self):
         a = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
@@ -440,6 +482,37 @@ class TestTapeKeepsWhatBackwardReads:
         assert held < 60 * step_bytes, held / step_bytes
         assert model.params["emb"] in tape.backward(root)
 
+    @pytest.mark.parametrize("vocab, dim, t_len", [(4000, 32, 6),
+                                                   (50, 256, 12)])
+    def test_taped_joint_backward_peak_stays_near_its_gradients(
+            self, vocab, dim, t_len):
+        # Each gradient is formed once: the embedding's as one [V, dim]
+        # GEMM of the word head's factors and the stack weights' adopted
+        # from the sweep.  Forming the head's dense [rows, V] pick and
+        # log-softmax gradients with their copies and the table's transposed
+        # copy peaks above 4x at the large vocabulary; copying each weight
+        # gradient the sweep formed peaks above 2x at the wide state.
+        r = rng()
+        n = 8
+        model = GenerativeModel(vocab, dim=dim, layers=2, dropout=0.5,
+                                rng=np.random.default_rng(1))
+        ids = r.integers(2, vocab, size=(n, t_len))
+        acts = np.array([tree_to_actions(random_tree(t_len, r))
+                         for _ in range(n)])
+        with Tape() as tape:
+            term, act = model.joint_log_likelihood_batch(
+                ids, acts, rng=np.random.default_rng(2))
+            root = ad.sum_all(ad.add(term, act))
+        tracemalloc.start()
+        try:
+            grads = tape.backward(root)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(grads) == set(model.params.values())
+        formed = sum(g.nbytes for g in grads.values())
+        assert peak < 1.5 * formed, peak / formed
+
     def test_dropout_keeps_a_boolean_pattern(self):
         # the node keeps one byte per entry, not a float64 mask, and its
         # values and gradients are those of the float mask to the bit
@@ -536,6 +609,21 @@ class TestErrorPaths:
 
 
 class TestSharedHelpers:
+    EDGES = np.array([-800.0, -745.2, -709.0, -40.0, -1e-300, -5e-324, -0.0,
+                      0.0, 5e-324, 1e-300, 40.0, 709.0, 745.2, 800.0])
+
+    def test_branch_free_sigmoid_and_relu_match_the_branching_forms(self):
+        # values, not sign bits: numpy does not promise a zero's sign
+        x = np.concatenate([self.EDGES,
+                            np.random.default_rng(1).standard_normal(5000)])
+        e = np.exp(-np.abs(x))
+        sig = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        relu = np.where(x > 0, x, 0.0)
+        assert (ad.sigmoid_array(x) == sig).all()
+        assert (ad.relu(Tensor(x)).data == relu).all()
+        assert (ad.relu(Tensor(x.reshape(-1, 2))).data
+                == relu.reshape(-1, 2)).all()
+
     def test_sigmoid_array_matches_three_exp_form_bitwise(self):
         x = np.concatenate([np.random.default_rng(0).standard_normal(2000) * 8,
                             [-800.0, -40.0, -0.0, 0.0, 40.0, 800.0]])

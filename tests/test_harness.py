@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,6 +473,35 @@ class TestCheckpointedTraining:
         cli._save_trainer(dst, trainer, vocab)
         assert src.read_bytes() == dst.read_bytes()
 
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_load_draws_nothing(self, workspace, monkeypatch, fresh):
+        # the checkpoint overwrites every parameter, so no generator that
+        # the load makes draws anything, fresh trainer or restored
+        default_rng, draws = np.random.default_rng, []
+
+        class Counted:
+            def __init__(self, *args, **kwargs):
+                self.rng = default_rng(*args, **kwargs)
+
+            def __getattr__(self, name):
+                attr = getattr(self.rng, name)
+                if not callable(attr):
+                    return attr
+
+                def drawn(*args, **kwargs):
+                    draws.append(name)
+                    return attr(*args, **kwargs)
+                return drawn
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        ckpt = workspace / "run" / "last.ckpt"
+        config = cli._read_checkpoint(ckpt)[1] if fresh else None
+        trainer, _ = cli._load_trainer(ckpt, config)
+        assert draws == []
+        arrays = load_checkpoint(ckpt)[0]
+        for name, p in trainer.model.parameters().items():
+            np.testing.assert_array_equal(p.data, arrays[name])
+
     def test_interrupted_resume_matches_straight_run(self, workspace,
                                                      tmp_path):
         args = ["--corpus", str(workspace / "train.tokens"),
@@ -591,3 +621,23 @@ class TestCheckpointedTraining:
                          "--checkpoint", str(tmp_path / "lm" / "last.ckpt")])
         assert code == 2
         assert "no inference network" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_bench_record_names_the_benchmark(path):
+    # each perf change's record speaks of the workloads and end-to-end
+    # metrics that BENCHMARK.json declares
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    record = json.loads(path.read_text())
+    assert record["pr"] == int(path.stem.removeprefix("BENCH_"))
+    for key in ("change", "layer", "host", "method", "command"):
+        assert record[key], key
+    assert record["claim"]["workload"] in workloads
+    assert record["claim"]["metric"] in metrics
+    assert set(record["end_to_end"]) == workloads

@@ -1,12 +1,13 @@
-"""The fused LSTM cell and the array-level cell pair against the op-by-op
-composition.
+"""The fused LSTM cell, the array-level cell pair and the tied word head
+against the op-by-op composition.
 
 ``nn.lstm_cell`` records one primitive for the concat, matmul, bias and
 gates; the stack model's tree cell runs ``nn.cell`` and ``nn.cell_vjp`` on
 plain arrays, and ``tree_cell`` below wraps that pair as one test node.  The
 compositions build the same cells from single primitives; the fused forward
 must match them bit for bit, and the hand-written vjps must pass
-``grad_check``.
+``grad_check``.  ``nn.tied_word_log_prob`` is one primitive for the logits,
+log-softmax and pick, in blocks of at most ``nn.WORD_BLOCK`` logits.
 """
 
 import numpy as np
@@ -182,3 +183,68 @@ class TestTape:
         x, state, w, b = lstm_inputs(np.random.default_rng(10), 2, 3, 2)
         h, c = nn.lstm_cell(x, state, w, b)
         assert h.node is None and c.node is None
+
+
+def unfused_word_head(x, emb, b, words):
+    logits = nn.linear(x, ad.transpose(emb), b)
+    return ad.pick_per_row(ad.log_softmax(logits, axis=1), words)
+
+
+def word_head_inputs(seed, rows=7, vocab=11, dim=5):
+    r = np.random.default_rng(seed)
+    return (param(r, rows, dim, name="x"), param(r, vocab, dim, name="emb"),
+            param(r, vocab, name="b"), r.integers(0, vocab, size=rows))
+
+
+class TestTiedWordHead:
+    @pytest.mark.parametrize("block", [None, 2 * 11, 3 * 11])
+    def test_matches_unfused_chain(self, monkeypatch, block):
+        # values to the bit, taped or not, in one block or several
+        if block is not None:
+            monkeypatch.setattr(nn, "WORD_BLOCK", block)
+        x, emb, b, words = word_head_inputs(11)
+        want = unfused_word_head(x, emb, b, words).data
+        np.testing.assert_array_equal(
+            nn.tied_word_log_prob(x, emb, b, words).data, want)
+        weights = Tensor(np.random.default_rng(12).standard_normal(7))
+        grads = []
+        for head in (nn.tied_word_log_prob, unfused_word_head):
+            with Tape() as tape:
+                out = head(x, emb, b, words)
+                root = ad.sum_all(ad.mul(out, weights))
+            if head is nn.tied_word_log_prob:
+                np.testing.assert_array_equal(out.data, want)
+            g = tape.backward(root)
+            grads.append([g[p] for p in (x, emb, b)])
+        for got, expected in zip(*grads):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("block", [None, 2 * 11])
+    def test_grad_check(self, monkeypatch, block):
+        if block is not None:   # a multi-block backward: four blocks
+            monkeypatch.setattr(nn, "WORD_BLOCK", block)
+        x, emb, b, words = word_head_inputs(13)
+        weights = Tensor(np.random.default_rng(14).standard_normal(7))
+
+        def f():
+            out = nn.tied_word_log_prob(x, emb, b, words)
+            return ad.sum_all(ad.mul(out, weights))
+
+        report = grad_check(f, [x, emb, b])
+        assert report.passed, report
+
+    def test_records_one_node_and_a_second_backward_raises(self):
+        # the backward turns the kept log-softmax into the gradient in place
+        x, emb, b, words = word_head_inputs(15)
+        with Tape() as tape:
+            root = ad.sum_all(nn.tied_word_log_prob(x, emb, b, words))
+        assert len(tape) == 2
+        assert set(tape.backward(root)) == {x, emb, b}
+        with pytest.raises(RuntimeError, match="tied word head"):
+            tape.backward(root)
+
+    def test_rejects_words_outside_the_vocabulary(self):
+        x, emb, b, words = word_head_inputs(16)
+        for bad in (np.full(7, 11), np.full(7, -1), words[:3]):
+            with pytest.raises(ad.ShapeError):
+                nn.tied_word_log_prob(x, emb, b, bad)

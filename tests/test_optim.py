@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,28 @@ class TestSGD:
         fresh = SGD(params, lr=1.0, clip=5.0)
         fresh.load_state("opt.theta", state)
         assert fresh.lr == opt.lr
+
+    def test_step_scales_gradients_in_place(self):
+        # the update forms in the gradient it consumes, not in a temporary
+        # the size of the parameter, and moves the parameter by the same
+        # bits as p -= (lr * scale) * g
+        r = np.random.default_rng(0)
+        big = Tensor(r.standard_normal((400, 300)), requires_grad=True)
+        small = Tensor(r.standard_normal(50), requires_grad=True)
+        grads = {big: r.standard_normal(big.shape),
+                 small: r.standard_normal(small.shape)}
+        want = [p.data - (0.3 * (2.0 / global_norm(grads.values()))) * g
+                for p, g in grads.items()]
+        opt = SGD({"big": big, "small": small}, lr=0.3, clip=2.0)
+        tracemalloc.start()
+        try:
+            opt.step(grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.data.nbytes / 2, peak / big.data.nbytes
+        for p, expected in zip(grads, want):
+            np.testing.assert_array_equal(p.data, expected)
 
     def test_rejects_bad_rates(self):
         params, _ = params_and_grads()

@@ -239,6 +239,25 @@ class TestElboStep:
                                   before_theta)
         assert diag["phi_grad_norm"] == 0.0
 
+    def test_each_backward_forms_only_its_optimizers_gradients(self,
+                                                                 monkeypatch):
+        # Adam never reads the shared embedding, so the phi backward forms
+        # no gradient for it; the theta backward forms one for every
+        # generative parameter
+        cfg = tiny_config()
+        model, net = build_models(cfg, 12)
+        trainer = Trainer(model, net, cfg)
+        backward, formed = Tape.backward, []
+
+        def recorded(tape, root, leaves=None):
+            grads = backward(tape, root, leaves)
+            formed.append(set(grads))
+            return grads
+
+        monkeypatch.setattr(Tape, "backward", recorded)
+        trainer.elbo_step(self.batch(), anneal=1.0)
+        assert formed == [set(model.params.values()), set(net.params.values())]
+
     def test_update_false_changes_nothing(self):
         cfg = tiny_config()
         model, net = build_models(cfg, 12)
