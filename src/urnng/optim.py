@@ -1,10 +1,10 @@
 """Gradient ascent plumbing: SGD and Adam over named parameter groups.
 
 Each optimizer owns a name -> Tensor map and consumes the Tensor-keyed
-gradient dicts produced by ``Tape.backward``; SGD consumes them literally,
-scaling each gradient in place into its update.  Clipping rescales the whole
-group to a global-norm budget before the update, and ``step`` returns the
-pre-clip norm for diagnostics.  State accessors expose everything needed to
+gradient dicts of ``Tape.backward``: a step forms its updates in place in
+the gradients it is given.  Clipping rescales the whole group to a
+global-norm budget before the update, and ``step`` returns the pre-clip
+norm for diagnostics.  State accessors expose everything needed to
 reproduce subsequent steps bit-for-bit after a checkpoint round trip.
 """
 
@@ -87,11 +87,19 @@ class Adam:
         correct1 = 1.0 - b1 ** self.t
         correct2 = 1.0 - b2 ** self.t
         for name, p, g in picked:
-            g = scale * g
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            p.data -= self.lr * (m / correct1) / (
-                np.sqrt(v / correct2) + self.eps)
+            # in place, in the order of m = b1 m + (1 - b1) g, v = b2 v +
+            # (1 - b2) g g and p -= lr (m / c1) / (sqrt(v / c2) + eps)
+            m, v = self.m[name], self.v[name]
+            g *= scale
+            m *= b1
+            m += (scratch := g * (1.0 - b1))
+            v *= b2
+            np.multiply(np.multiply(g, 1.0 - b2, out=scratch), g, out=scratch)
+            v += scratch
+            np.sqrt(np.divide(v, correct2, out=scratch), out=scratch)
+            scratch += self.eps
+            np.multiply(np.divide(m, correct1, out=g), self.lr, out=g)
+            p.data -= np.divide(g, scratch, out=g)
         return norm
 
     def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:

@@ -17,29 +17,28 @@ which makes the action distribution normalize over all binary trees of the
 sentence.  End of sentence is one more forced SHIFT after the final REDUCE
 whose word is the EOS token, scored by the same word head.
 
-Scoring runs many rows in lockstep: every action pushes exactly one element,
-so the stack top after step t-1 is always the element pushed at step t-1, and
-one LSTM step per layer serves all rows at once.  Without dropout the stack
-after step t depends only on the actions and words so far, so untaped rows
-that share that prefix share one node of the prefix trie, and the cells and
-heads run once per node.  Neither head feeds back into the stack, so the step
-loop runs only the recurrence; the action head then scores all steps in one
-pass, and the word head all SHIFT and EOS contexts in one tied-softmax pass
-(untaped, in blocks of bounded size), as the RNNLM baseline scores its words.
+Every action pushes one element, and the state is kept in tables by push
+(:class:`_Stack`): an integer pass gives each push its stack position, the
+push beneath it, its word or its two children, and its tree height.  A
+push's LSTM state depends only on the push beneath it and on its content,
+and a REDUCE's content only on its two children, so scoring runs level by
+level: the tree cell once per height, then each LSTM layer once per stack
+position, over all rows at once.  The samplers must read the top state
+before each draw, so they run the cells step by step instead.  Without a
+tape and without dropout, rows that have taken the same actions over the
+same words share each push, a node of the prefix trie.  Neither head feeds
+back into the stack, so the action head scores all steps in one pass and
+the word head all SHIFT and EOS contexts in one tied-softmax pass (untaped,
+in blocks of bounded size), as the RNNLM baseline scores its words.
 
-The recurrence runs on plain arrays indexed by stack position and node.  On
-a tape each step keeps [rows, ·] arrays only: the rows' new top positions,
-the SHIFT rows with their words, the REDUCE rows with their depths, what the
-tree cell (if any row reduced) and each LSTM cell save for their vjps, and
-boolean dropout patterns.  The contexts of all steps are one tape node whose
-vjp sweeps the steps in reverse with gradient buffers shaped like the state:
-a step reads and zeroes the gradients of the slots it wrote, runs its cells
-backward, and adds the gradients of what it read at their positions.
+On a tape the contexts are one node that keeps what each cell's vjp reads
+and the boolean dropout patterns.  Its vjp walks the levels in reverse
+(layers top-down, positions deepest first, then heights highest first) with
+gradient tables shaped like the state.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,178 +49,198 @@ from .autodiff import Tensor
 from .treebank import REDUCE, SHIFT, TreeRepr, actions_to_tree
 
 
-# A taped step's record, field by field as the module docstring lists it.
-_Step = namedtuple("_Step", "top shift words reduce depth tree cells drops")
+class _Stack:
+    """The stacks of n rows over at most ``steps`` actions, as tables by
+    push; push 0 is the zero pair under every stack.
 
-
-class _Stepper:
-    """Lockstep shift/reduce execution over n rows on plain arrays.
-
-    ``h`` and ``c`` hold the stack state, shape [layers + 1, depth + 1, n,
-    dim]: at [l, p, i], layer l's LSTM state after node i pushed the element
-    at position p; at [layers, p, i], that element's content.  Position 0
-    holds the zero pair under every stack.  Rows with the same actions over
-    the same words so far share a prefix node, ``node[r]`` being row r's: a
-    step maps each distinct (node, action, word on SHIFT) to a child, a
-    node's first child keeps its slot and later ones get a copy, so the
-    cells run once per node (one per row of ``top``).  On a tape or with
-    dropout each row keeps a node of its own, and on a tape each step
-    appends a :data:`_Step` to ``record`` for :meth:`sweep`.
+    Push i sits at stack position ``pos[i]`` on push ``below[i]``; it holds
+    word ``word[i]``, or -1 and the two children ``kids[i]`` on REDUCE; its
+    tree height is ``height[i]``.  ``h`` and ``c`` hold layers + 1 tables
+    [pushes, dim]: row i of table l is layer l's LSTM state of push i, of
+    table ``layers`` its content.  ``top[r]`` is row r's top push.  If
+    ``shared``, pushes are prefix-trie nodes: a step maps each distinct
+    (top, action, word on SHIFT) to one push; else push 1 + t * n + r is
+    row r's at step t.  A list ``saved`` collects each cell call's pushes
+    and what its vjp reads.
     """
 
-    def __init__(self, model: "GenerativeModel", n_rows: int,
-                 rng: np.random.Generator | None, depth: int):
-        self.model = model
-        self.rng = rng
-        # the parameters the recurrence reads come first, in this order:
-        # the embedding, each layer's LSTM weight and bias, the tree cell's
+    def __init__(self, model: "GenerativeModel", n: int, steps: int,
+                 shared: bool):
+        self.model, self.shared, self.saved, self.count = model, shared, None, 1
         self.inputs = tuple(model.params.values())[:2 * model.layers + 3]
-        taped = bool(ad._tape_stack) and any(t.requires_grad
-                                             for t in self.inputs)
-        shared = rng is None and not taped
-        # np.zeros, not zeros_like: pages no node touches stay unmapped
-        shape = (model.layers + 1, depth + 1, n_rows, model.dim)
-        self.h, self.c = np.zeros(shape), np.zeros(shape)
-        self.depth = np.zeros(n_rows, dtype=np.int64)
-        self.words_used = np.zeros(n_rows, dtype=np.int64)
-        self.node = np.zeros(n_rows, np.int64) if shared else np.arange(n_rows)
-        self.top = np.zeros((1 if shared else n_rows, model.dim))  # node tops
-        self.record = [] if taped else None
-        self.drops = []     # the keep patterns of the contexts
+        size = steps * n + 1
+        self.stack = np.zeros((n, steps + 3), np.int64)  # pushes by position
+        self.depth, self.used, self.top = np.zeros((3, n), np.int64)
+        self.pos, self.below, self.height = np.zeros((3, size), np.int64)
+        self.word, self.kids = np.full(size, -1), np.zeros((size, 2), np.int64)
+        # a table per level, np.zeros: pages no push touches stay unmapped
+        self.h, self.c = ([np.zeros((size, model.dim))
+                           for _ in range(model.layers + 1)] for _ in "hc")
 
-    def drop(self, x: np.ndarray, patterns: list) -> np.ndarray:
-        """``x`` under dropout; its keep pattern is appended to ``patterns``."""
-        rate = self.model.dropout
-        patterns.append(ad.dropout_pattern(x.shape, rate, self.rng))
-        return ad.dropped(x, patterns[-1], rate)
-
-    def cell(self, parts: list, cells: tuple, w: Tensor, b: Tensor,
-             kept: list) -> tuple[np.ndarray, np.ndarray]:
-        """(h, c) of :func:`nn.cell`; on a tape what its vjp reads goes to
-        ``kept``, else it dies here."""
-        h, c, saved = nn.cell(parts, w.data, b.data, cells)
-        if self.record is not None:
-            kept.append(saved)
-        return h, c
-
-    def step(self, actions: np.ndarray, word_ids: np.ndarray | None) -> None:
-        """Advance every row one action; ``word_ids[r]`` is read on SHIFT rows."""
-        model = self.model
+    def push(self, actions: np.ndarray, word_ids: np.ndarray | None) -> tuple:
+        """Advance every row one action, reading ``word_ids[r]`` on SHIFT
+        rows; returns the new pushes and each row's index among them."""
+        model, rows = self.model, np.arange(len(actions))
         shift = actions == SHIFT
         bad = np.flatnonzero(~shift & (self.depth < 2))
         if bad.size:
             raise ValueError(f"row {bad[0]}: REDUCE with stack depth "
                              f"{self.depth[bad[0]]}")
         words = np.where(shift, -1 if word_ids is None else word_ids, -1)
-
-        # keys sort by parent node first; its first child keeps its slot
-        key = (self.node * 2 + actions) * (model.vocab_size + 1) + words + 1
-        _, first, child = np.unique(key, return_index=True, return_inverse=True)
-        parent = self.node[first]
-        forks = np.flatnonzero(parent[1:] == parent[:-1]) + 1
-        slot = parent.copy()
-        slot[forks] = len(self.top) + np.arange(forks.size)
-        old, new = parent[forks], slot[forks]
-        top = self.depth[first[forks]].max(initial=0) + 1
-        for state in (*self.h, *self.c):    # one layer's array at a time
-            state[:top, new] = state[:top, old]
-        self.node = slot[child.ravel()]
-        rows = first[np.argsort(slot)]      # a row of each node
-        nodes = np.arange(rows.size)
-
-        shifts = np.flatnonzero(shift[rows])
-        r = np.flatnonzero(~shift[rows])
-        shifted = words[rows[shifts]]
-        depth = self.depth[rows[r]]
-        if np.any((shifted < 0) | (shifted >= model.vocab_size)):
+        if np.any((words[shift] < 0) | (words[shift] >= model.vocab_size)):
             raise ValueError("SHIFT needs a word id in the vocabulary")
+        first = child = rows
+        if self.shared:     # keys sort by top push first
+            key = ((self.top * 2 + actions) * (model.vocab_size + 1)
+                   + words + 1)
+            _, first, child = np.unique(key, return_index=True,
+                                        return_inverse=True)
+            child = child.ravel()
+        new = self.count + np.arange(first.size)
+        self.count += first.size
         self.depth += np.where(shift, 1, -1)
-        self.words_used += shift
-        top = self.depth[rows]
-        below = top - 1     # the LSTM state beneath the new push
+        self.used += shift
+        p, word = self.depth[first], words[first]
+        self.pos[new], self.below[new], self.word[new] = (
+            p, self.stack[first, p - 1], word)
+        self.kids[new] = self.stack[first[:, None], p[:, None] + [0, 1]]
+        self.height[new] = np.where(
+            word < 0, 1 + self.height[self.kids[new]].max(axis=1), 0)
+        self.top = new[child]
+        self.stack[rows, self.depth] = self.top
+        return new, child
 
-        # the pushed element, the state's last level: the word for SHIFT
-        # nodes (zero cell state), the two popped children composed for REDUCE
-        pushed, cell = np.zeros((2, rows.size, model.dim))
-        pushed[shifts] = self.inputs[0].data[shifted]
-        tree, cells, drops = [], [], []
-        if r.size:
-            pushed[r], cell[r] = self.cell(
-                [self.h[-1, depth - 1, r], self.h[-1, depth, r]],
-                (self.c[-1, depth - 1, r], self.c[-1, depth, r]),
-                *self.inputs[-2:], tree)
-        self.h[-1, top, nodes], self.c[-1, top, nodes] = pushed, cell
-        inp = self.drop(pushed, drops)
-        for layer in range(model.layers):
-            h, c = self.cell([inp, self.h[layer, below, nodes]],
-                             (self.c[layer, below, nodes],),
-                             *self.inputs[1 + 2 * layer:3 + 2 * layer], cells)
-            self.h[layer, top, nodes], self.c[layer, top, nodes] = h, c
-            if layer + 1 < model.layers:
-                inp = self.drop(h, drops)
-        if not np.isfinite(h).all():
-            raise ad.NumericError("stack step: non-finite state")
-        self.top = h
-        if self.record is not None:
-            self.record.append(_Step(top, shifts, shifted, r, depth, tree,
-                                     cells, drops))
+    def cell(self, at: np.ndarray, layer: int, x: np.ndarray | None = None):
+        """Run layer ``layer``'s LSTM cell on pushes ``at`` over inputs
+        ``x[at]``, or for ``layer`` = layers the tree cell over their
+        children, and set their state."""
+        h, c = self.h[layer], self.c[layer]
+        if x is None:
+            left, right = self.kids[at].T
+            parts, cells = [h[left], h[right]], (c[left], c[right])
+        else:
+            under = self.below[at]
+            parts, cells = [x[at], h[under]], (c[under],)
+        w, b = self.inputs[1 + 2 * layer:3 + 2 * layer]
+        new_h, new_c, saved = nn.cell(parts, w.data, b.data, cells)
+        if not np.isfinite(new_h).all():
+            raise ad.NumericError("stack recurrence: non-finite state")
+        h[at], c[at] = new_h, new_c
+        if self.saved is not None:
+            self.saved.append((at, saved))
 
-    def output(self, contexts: list) -> Tensor:
-        """The ``contexts`` as one node; the state arrays are freed."""
-        self.shape = self.h.shape
-        del self.h, self.c
-        return ad._emit("stack_recurrence", np.concatenate(contexts),
-                        self.inputs, self.sweep)
+    def step(self, actions: np.ndarray, word_ids: np.ndarray | None) -> tuple:
+        """:meth:`push`, then the cells of the new pushes: the samplers'
+        step-major path, which reads each top state before the next draw."""
+        new, child = self.push(actions, word_ids)
+        layers, word = self.model.layers, self.word[new]
+        self.h[layers][new[word >= 0]] = self.inputs[0].data[word[word >= 0]]
+        if (word < 0).any():
+            self.cell(new[word < 0], layers)
+        for layer in range(layers):
+            self.cell(new, layer, self.h[layer - 1 if layer else layers])
+        return new, child
 
-    def sweep(self, g: np.ndarray) -> tuple:
-        """The partials of ``inputs`` given the gradient ``g`` of the
-        contexts.  Each step's record is dropped once swept, so this runs
-        once; weight partials fold as ``autodiff._accumulate`` folds them
-        and go back unformed, for the backward to adopt."""
-        inputs, rate, record = self.inputs, self.model.dropout, self.record
-        if len(record) + 1 != len(self.drops):
+
+def _keep_patterns(model: "GenerativeModel", n: int, steps: int,
+                   rng: np.random.Generator | None) -> list:
+    """The dropout keep patterns of the pushed element, each lower layer's h
+    and the context, the order they apply in, as [n * steps + 1, dim]
+    tables by unshared push (None without dropout).  They are drawn in the
+    order of a step-major recurrence: per step the context, the pushed
+    element and each lower layer's h; then the last context."""
+    layers, dim = model.layers, model.dim
+    if rng is None or model.dropout <= 0.0:
+        return [None] * (layers + 1)
+    draws = np.stack([ad.dropout_pattern((n, dim), model.dropout, rng)
+                      for _ in range(steps * (layers + 1) + 1)])
+    zero = np.zeros((1, dim), dtype=bool)   # the zero pair keeps nothing
+    return [np.concatenate([zero, draws[k::layers + 1][:steps].reshape(
+        -1, dim)]) for k in range(1, layers + 2)]
+
+
+def _recurrence(model: "GenerativeModel", ids: np.ndarray,
+                actions: np.ndarray, rng: np.random.Generator | None):
+    """(contexts, tops, free) of [n, T] ``ids`` under [n, 2T - 1]
+    ``actions``: each push's top-layer h under its context dropout as one
+    [pushes + 1, dim] node; each row's top push before each step and
+    whether that step is free, both [2T, n]."""
+    (n, steps), t_len = actions.shape, ids.shape[1]
+    layers, rate, dim = model.layers, model.dropout, model.dim
+    keep = _keep_patterns(model, n, steps, rng)
+    inputs = tuple(model.params.values())[:2 * layers + 3]
+    taped = bool(ad._tape_stack) and any(t.requires_grad for t in inputs)
+    stack = _Stack(model, n, steps, keep[0] is None and not taped)
+    tops, free = [], []
+    for t in range(steps + 1):
+        tops.append(stack.top)
+        free.append((stack.depth >= 2) & (stack.used < t_len))
+        if t < steps:
+            stack.push(actions[:, t], ids[np.arange(n), stack.used % t_len])
+
+    # contents one tree height at a time, then each layer one stack
+    # position at a time
+    size, below, kids = stack.count, stack.below, stack.kids
+    pos, word = stack.pos[:size], stack.word[:size]
+    depths = [np.flatnonzero(pos == p) for p in range(1, pos.max() + 1)]
+    heights = [np.flatnonzero(stack.height[:size] == k)
+               for k in range(1, stack.height.max() + 1)]
+    shifts = np.flatnonzero(word >= 0)
+    stack.saved = [] if taped else None
+    stack.h[layers][shifts] = inputs[0].data[word[shifts]]
+    for at in heights:
+        stack.cell(at, layers)
+    for layer in range(layers):
+        lower = layer - 1 if layer else layers  # layer 0 reads contents
+        x = ad.dropped(stack.h[lower][:size], keep[layer], rate)
+        stack.h[lower] = stack.c[lower] = None  # nothing reads them now
+        for at in depths:
+            stack.cell(at, layer, x)
+    levels = stack.saved
+
+    def sweep(g):
+        # the partials of ``inputs``; the levels are dropped as they are
+        # swept, so this runs once
+        nonlocal levels
+        if levels is None:
             raise RuntimeError("stack recurrence: a backward swept it")
-        content, dim = self.shape[0] - 1, self.shape[-1]
-        g = g.reshape(len(self.drops), -1, dim)
-        rows = np.arange(g.shape[1])
-        dh, dc = np.zeros(self.shape), np.zeros(self.shape)
-        store, words, shifted = {}, [], []
+        todo, levels, store = levels, None, {}
 
-        def back(i, saved, gh, gc, read):
-            # a cell of two input parts backward: inputs[i], i + 1 (weight,
-            # bias) and each slot in ``read`` get partials; returns part 0's
-            dx, dz, dcells = nn.cell_vjp(saved, inputs[i].data, gh, gc)
+        def back(i, gh, gc):
+            # the last level not yet swept, backward: its pushes, its input
+            # gradient split in two parts, its previous cells' gradients
+            at, saved = todo.pop()
+            dx, dz, dcells = nn.cell_vjp(saved, inputs[i].data, gh[at],
+                                         gc[at])
             for k, part in ((i, ad._Factors(saved[0], None, dz)),
                             (i + 1, dz.sum(axis=0))):
                 ad._accumulate(store, k, inputs[k].shape, part)
-            dx = dx[:, :dim], dx[:, dim:]
-            for at, dh_part, dc_part in zip(read, dx[-len(read):], dcells):
-                dh[at] += dh_part
-                dc[at] += dc_part
-            return dx[0]
+            return at, dx[:, :dim], dx[:, dim:], dcells
 
-        for t in range(len(record), 0, -1):
-            step = record.pop()
-            top, below = step.top, step.top - 1
-            # the slots this step wrote: their gradients, then zeros
-            gh, gc = dh[:, top, rows], dc[:, top, rows]
-            dh[:, top, rows] = dc[:, top, rows] = 0.0
-            grad = ad.dropped(g[t], self.drops[t], rate)
-            for layer in reversed(range(content)):
-                grad = ad.dropped(back(1 + 2 * layer, step.cells[layer],
-                                       gh[layer] + grad, gc[layer],
-                                       [(layer, below, rows)]),
-                                  step.drops[layer], rate)
-            gh = gh[content] + grad
-            words.append(step.words)
-            shifted.append(gh[step.shift])
-            r, d = step.reduce, step.depth
-            if step.tree:
-                back(len(inputs) - 2, step.tree[0], gh[r], gc[content, r],
-                     [(content, d - 1, r), (content, d, r)])
-        return (ad._Factors(None, np.concatenate(words),
-                            np.concatenate(shifted)),
+        gh = ad.dropped(g, keep[-1], rate)  # the backward's own array
+        for layer in reversed(range(layers)):
+            gc, dx = np.zeros((2, size, dim))
+            for _ in depths:
+                at, dx_at, dh, (dc,) = back(1 + 2 * layer, gh, gc)
+                dx[at] = dx_at
+                # pushes of one level may share the push beneath
+                np.add.at(gh, below[at], dh)
+                np.add.at(gc, below[at], dc)
+            gh = ad.dropped(dx, keep[layer], rate)
+        gc = np.zeros_like(gh)
+        for _ in heights:
+            at, dl, dr, (dcl, dcr) = back(1 + 2 * layers, gh, gc)
+            left, right = kids[at].T
+            gh[left] += dl
+            gh[right] += dr
+            gc[left] += dcl
+            gc[right] += dcr
+        return (ad._Factors(None, word[shifts], gh[shifts]),
                 *(store.get(i) for i in range(1, len(inputs))))
+
+    context = ad.dropped(stack.h[layers - 1][:size], keep[-1], rate)
+    return (ad._emit("stack_recurrence", context, inputs, sweep),
+            np.array(tops), np.array(free))
 
 
 @dataclass
@@ -299,18 +318,7 @@ class GenerativeModel(_TiedLM):
         if np.any((actions == SHIFT).sum(axis=1) != t_len):
             raise ValueError(f"every row must contain exactly {t_len} SHIFTs")
 
-        stepper = _Stepper(self, n, rng, t_len)
-        contexts, free, at = [], [], []
-        for step in range(steps + 1):
-            free.append((stepper.depth >= 2) & (stepper.words_used < t_len))
-            # each row's context: its node's top, after those of past steps
-            at.append(sum(len(c) for c in contexts) + stepper.node)
-            contexts.append(stepper.drop(stepper.top, stepper.drops))
-            if step < steps:
-                stepper.step(actions[:, step],
-                             ids[np.arange(n), stepper.words_used % t_len])
-        context, at = stepper.output(contexts), np.array(at)
-        del contexts
+        context, at, free = _recurrence(self, ids, actions, rng)
 
         p = self.params
         # the step after the final REDUCE has depth 1, so it is never free
@@ -365,15 +373,16 @@ class GenerativeModel(_TiedLM):
         t_len = ids.shape[0]
         steps = 2 * t_len - 1
         p = self.params
-        stepper = _Stepper(self, k, None, t_len)
+        stack = _Stack(self, k, steps, shared=True)
+        new, child = np.zeros(1, np.int64), np.zeros(k, np.int64)
         actions = np.zeros((k, steps), dtype=np.int64)
         logprob = np.zeros(k)
         for step in range(steps):
-            logits = (stepper.top @ p["gen.action_w"].data
+            logits = (stack.h[self.layers - 1][new] @ p["gen.action_w"].data
                       + p["gen.action_b"].data[0])
-            p_reduce = ad.sigmoid_array(logits)[stepper.node]
-            must_shift = stepper.depth < 2
-            must_reduce = stepper.words_used >= t_len
+            p_reduce = ad.sigmoid_array(logits)[child]
+            must_shift = stack.depth < 2
+            must_reduce = stack.used >= t_len
             draw = rng.random(k) < p_reduce
             acts = np.where(~must_shift & (must_reduce | draw), REDUCE, SHIFT)
             with np.errstate(divide="ignore"):
@@ -382,7 +391,7 @@ class GenerativeModel(_TiedLM):
             logprob += np.where(must_shift | must_reduce, 0.0, term)
             actions[:, step] = acts
             if step + 1 < steps:    # nothing reads the state after the last
-                stepper.step(acts, ids[stepper.words_used % t_len])
+                new, child = stack.step(acts, ids[stack.used % t_len])
         return actions, logprob
 
     def generate(self, rng: np.random.Generator,
@@ -398,20 +407,20 @@ class GenerativeModel(_TiedLM):
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         p = self.params
-        stepper = _Stepper(self, 1, None, max_len)
+        stack = _Stack(self, 1, 2 * max_len, shared=True)
         ids: list[int] = []
         actions: list[int] = []
         total = 0.0
         eos_at_root = False
         while len(ids) < max_len:
-            hidden = stepper.top[0]
-            if stepper.depth[0] >= 2:
+            hidden = stack.h[self.layers - 1][stack.top[0]]
+            if stack.depth[0] >= 2:
                 p_reduce = float(ad.sigmoid_array(
                     hidden @ p["gen.action_w"].data + p["gen.action_b"].data[0]))
                 if rng.random() < p_reduce:
                     total += np.log(p_reduce)
                     actions.append(REDUCE)
-                    stepper.step(np.array([REDUCE]), None)
+                    stack.step(np.array([REDUCE]), None)
                     continue
                 total += np.log1p(-p_reduce)
             logits = hidden @ p["emb"].data.T + p["gen.word_b"].data
@@ -420,17 +429,17 @@ class GenerativeModel(_TiedLM):
             word = int(rng.choice(self.vocab_size, p=probs))
             total += np.log(probs[word])
             if word == self.eos_id:
-                eos_at_root = stepper.depth[0] <= 1
+                eos_at_root = stack.depth[0] <= 1
                 break
             ids.append(word)
             actions.append(SHIFT)
-            stepper.step(np.array([SHIFT]), np.array([word]))
+            stack.step(np.array([SHIFT]), np.array([word]))
         truncated = len(ids) >= max_len     # EOS ends the loop before that
         if not ids:
             return GenerationResult((), (), None, total, truncated, True,
                                     eos_at_root)
         # the closing REDUCEs carry no probability, so no cell runs for them
-        actions.extend([REDUCE] * (stepper.depth[0] - 1))
+        actions.extend([REDUCE] * (stack.depth[0] - 1))
         tree = actions_to_tree(tuple(actions), len(ids))
         return GenerationResult(tuple(ids), tuple(actions), tree, total,
                                 truncated, False, eos_at_root)

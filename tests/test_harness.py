@@ -1,6 +1,7 @@
 """Harness tests: checkpoint container, synthetic-grammar generator, and
 the command-line contracts (exit codes, file outputs, resumability)."""
 
+import importlib.util
 import json
 import math
 import struct
@@ -641,3 +642,31 @@ def test_bench_record_names_the_benchmark(path):
     assert record["claim"]["workload"] in workloads
     assert record["claim"]["metric"] in metrics
     assert set(record["end_to_end"]) == workloads
+
+
+def test_benchmark_tracer_wraps_names_that_exist_and_restores_them():
+    # perfbench/spans.py patches layer functions and methods by name, so a
+    # renamed one would otherwise show only in a traced benchmark run
+    import urnng
+    import urnng.evaluate
+    import urnng.optim
+    import urnng.rnng
+    import urnng.synth
+    import urnng.trainer  # noqa: F401
+
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(urnng)
+    tracer.install()
+    try:
+        patched = list(tracer._restore)
+        assert patched
+        for owner, attr, original in patched:
+            assert callable(original), attr
+            assert getattr(owner, attr) is not original, attr
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr

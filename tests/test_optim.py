@@ -85,7 +85,45 @@ class TestSGD:
             SGD(params, lr=1.0, clip=-1.0)
 
 
+def copied(grads):
+    # a step consumes the gradient arrays it is given
+    return {p: g.copy() for p, g in grads.items()}
+
+
 class TestAdam:
+    def test_steps_in_place_with_the_bits_of_the_formula(self):
+        # three clipped steps move the parameters and moments by the same
+        # bits as the textbook expressions, and a step allocates at most
+        # one scratch array the size of the parameter beside the gradient
+        r = np.random.default_rng(1)
+        big = Tensor(r.standard_normal((400, 300)), requires_grad=True)
+        small = Tensor(r.standard_normal(50), requires_grad=True)
+        opt = Adam({"big": big, "small": small}, lr=0.01, clip=2.0)
+        want = {p: p.data.copy() for p in (big, small)}
+        m = {p: np.zeros(p.shape) for p in want}
+        v = {p: np.zeros(p.shape) for p in want}
+        b1, b2 = opt.betas
+        for t in range(1, 4):
+            grads = {p: r.standard_normal(p.shape) for p in want}
+            scale = 2.0 / global_norm(grads.values())
+            for p, g in grads.items():
+                g = scale * g
+                m[p] = b1 * m[p] + (1.0 - b1) * g
+                v[p] = b2 * v[p] + (1.0 - b2) * g * g
+                want[p] = want[p] - 0.01 * (m[p] / (1.0 - b1 ** t)) / (
+                    np.sqrt(v[p] / (1.0 - b2 ** t)) + opt.eps)
+            tracemalloc.start()
+            try:
+                opt.step(grads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * big.data.nbytes, peak / big.data.nbytes
+            for name, p in (("big", big), ("small", small)):
+                np.testing.assert_array_equal(p.data, want[p])
+                np.testing.assert_array_equal(opt.m[name], m[p])
+                np.testing.assert_array_equal(opt.v[name], v[p])
+
     def test_first_step_moves_by_lr_per_coordinate(self):
         # bias correction makes the first update lr * g / (|g| + eps)
         params, grads = params_and_grads()
@@ -98,8 +136,8 @@ class TestAdam:
     def test_moments_accumulate(self):
         params, grads = params_and_grads()
         opt = Adam(params, lr=0.01, clip=100.0, betas=(0.9, 0.999))
-        opt.step(grads)
-        opt.step(grads)
+        opt.step(copied(grads))
+        opt.step(copied(grads))
         assert opt.t == 2
         assert opt.m["a"][0] == pytest.approx(3.0 * (1 - 0.9 ** 2))
         assert opt.v["a"][0] == pytest.approx(9.0 * (1 - 0.999 ** 2))
@@ -119,18 +157,18 @@ class TestAdam:
     def test_state_round_trip_reproduces_updates(self):
         params, grads = params_and_grads()
         opt = Adam(params, lr=0.01, clip=100.0)
-        opt.step(grads)
+        opt.step(copied(grads))
         state = {k: v.copy() for k, v in opt.state_arrays("opt.phi").items()}
         before = {k: p.data.copy() for k, p in params.items()}
 
-        opt.step(grads)
+        opt.step(copied(grads))
         after_direct = {k: p.data.copy() for k, p in params.items()}
 
         for k, p in params.items():
             p.data = before[k].copy()
         fresh = Adam(params, lr=0.01, clip=100.0)
         fresh.load_state("opt.phi", state)
-        fresh.step(grads)
+        fresh.step(copied(grads))
         for k, p in params.items():
             np.testing.assert_array_equal(p.data, after_direct[k])
 

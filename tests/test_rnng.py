@@ -465,15 +465,16 @@ class TestHeadsAfterRecurrence:
     def test_joint_heads_cost_the_same_nodes_at_any_length(self,
                                                            monkeypatch):
         model = tiny_model(seed=48, vocab=20, dim=4, dropout=0.0)
-        step = rnng._Stepper.step
-        in_steps = []
+        recurrence = rnng._recurrence
+        in_recurrence = []
 
-        def counted(stepper, *args):
+        def counted(*args):
             before = len(tape)
-            step(stepper, *args)
-            in_steps.append(len(tape) - before)
+            out = recurrence(*args)
+            in_recurrence.append(len(tape) - before)
+            return out
 
-        monkeypatch.setattr(rnng._Stepper, "step", counted)
+        monkeypatch.setattr(rnng, "_recurrence", counted)
         outside = []
         rng = np.random.default_rng(49)
         for t in (12, 48):
@@ -482,8 +483,8 @@ class TestHeadsAfterRecurrence:
             with Tape() as tape:
                 model.joint_log_likelihood_batch(ids, acts,
                                                  rng=np.random.default_rng(0))
-            outside.append(len(tape) - sum(in_steps))
-            in_steps.clear()
+            outside.append(len(tape) - sum(in_recurrence))
+            in_recurrence.clear()
         assert outside[0] == outside[1]
 
     def test_rnnlm_nodes_per_position_are_the_recurrence(self):
@@ -609,7 +610,11 @@ class TestPrefixSharing:
         rows = self.count_cell_rows(monkeypatch)
         terminal, action = model.joint_log_likelihood_batch(
             ids, np.tile(tree.actions, (256, 1)))
-        assert rows == [1] * model.layers * len(tree.actions)
+        # each layer's cell runs once per stack position, on the one push
+        # of each step that reaches it
+        depth = np.cumsum(np.where(np.array(tree.actions) == S, 1, -1))
+        assert rows == np.bincount(depth)[1:].tolist() * model.layers
+        assert sum(rows) == model.layers * len(tree.actions)
         want = reference_joint(model, ids[0], tree.actions)
         assert terminal.data == pytest.approx([want[0]] * 256, abs=1e-10)
         assert action.data == pytest.approx([want[1]] * 256, abs=1e-10)
@@ -634,17 +639,28 @@ class TestPrefixSharing:
                 assert act.data[row] == pytest.approx(want[1], abs=1e-10)
 
 
+def tree_height(actions):
+    """The height of the tree that ``actions`` build, a word being 0."""
+    stack = []
+    for a in actions:
+        stack.append(1 + max(stack.pop(), stack.pop()) if a == R else 0)
+    return stack[0]
+
+
 class TestStackSweep:
     """A taped joint is one node for the whole stack recurrence; its vjp is
-    a hand-written reverse sweep over the steps."""
+    a hand-written reverse sweep over the levels of the forward."""
 
     @staticmethod
     def mixed_rows():
-        # three shapes of tree over four words, so the rows sit at different
-        # depths at most steps, and every row reduces at some step
-        acts = np.array([left_branching(4).actions, right_branching(4).actions,
-                         (S, S, R, S, S, R, R)])
-        return np.random.default_rng(64).integers(2, 6, size=(3, 4)), acts
+        # four shapes of tree over five words, so the rows sit at different
+        # depths at most steps and every row reduces at some step; the
+        # right-branching row reaches the deepest stack, and the last row
+        # pushes three times at position 2 onto its first push
+        acts = np.array([left_branching(5).actions, right_branching(5).actions,
+                         (S, S, R, S, S, R, R, S, R),
+                         (S, S, S, R, S, R, S, R, R)])
+        return np.random.default_rng(64).integers(2, 6, size=(4, 5)), acts
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -652,7 +668,7 @@ class TestStackSweep:
         model = tiny_model(seed=65, vocab=6, dim=3, layers=layers,
                            dropout=dropout)
         ids, acts = self.mixed_rows()
-        assert len({tuple(a) for a in acts}) == 3
+        assert len({tuple(a) for a in acts}) == 4
 
         def f():
             terminal, action = model.joint_log_likelihood_batch(
@@ -734,3 +750,63 @@ class TestStackSweep:
         assert model.params["gen.lstm_w0"] in tape.backward(root)
         with pytest.raises(RuntimeError, match="tied word head"):
             tape.backward(root)
+
+    def test_second_backward_of_the_action_term_raises(self):
+        # the action term reaches the recurrence but not the word head, so
+        # a second backward of it finds the levels already swept
+        model = tiny_model(seed=71)
+        ids, acts = self.mixed_rows()
+        with Tape() as tape:
+            _, action = model.joint_log_likelihood_batch(ids, acts)
+            root = ad.sum_all(action)
+        assert model.params["gen.lstm_w0"] in tape.backward(root)
+        with pytest.raises(RuntimeError, match="stack recurrence"):
+            tape.backward(root)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_one_cell_call_per_tree_height_and_per_layer_position(
+            self, monkeypatch, taped):
+        # the tree cell runs once per height of the tallest tree and each
+        # LSTM layer once per position of the deepest stack, at most 3T
+        model = tiny_model(seed=72, vocab=20, dim=4, dropout=0.5)
+        rng = np.random.default_rng(73)
+        t = 48
+        ids = rng.integers(2, 20, size=(32, t))
+        acts = np.array([random_tree(t, rng).actions for _ in range(32)])
+        depth = np.cumsum(np.where(acts == S, 1, -1), axis=1).max()
+        height = max(tree_height(a) for a in acts)
+        calls = []
+        cell = nn.cell
+
+        def counted(*args):
+            calls.append(len(args[0][0]))
+            return cell(*args)
+
+        monkeypatch.setattr(nn, "cell", counted)
+        if taped:
+            with Tape():
+                model.joint_log_likelihood_batch(ids, acts,
+                                                 rng=np.random.default_rng(0))
+        else:
+            model.joint_log_likelihood_batch(ids, acts)
+        assert len(calls) == height + model.layers * depth <= 3 * t
+        if taped:   # one row per push for the LSTM layers
+            assert sum(calls) == (acts == R).sum() + model.layers * acts.size
+
+    def test_long_rows_agree_shared_taped_and_reference(self):
+        # T = 48: trie-shared untaped scores, one-push-per-row taped scores
+        # and the naive replay agree; rows 4-7 repeat the words of rows 0-3
+        model = tiny_model(seed=74, vocab=20, dim=4)
+        rng = np.random.default_rng(75)
+        t = 48
+        ids = np.tile(rng.integers(2, 20, size=(4, t)), (2, 1))
+        acts = np.array([random_tree(t, rng).actions for _ in range(8)])
+        acts[4:6] = acts[:2]
+        shared = model.joint_log_likelihood_batch(ids, acts)
+        with Tape():
+            taped = model.joint_log_likelihood_batch(ids, acts)
+        for row in range(8):
+            want = reference_joint(model, ids[row], acts[row])
+            for term, act in (shared, taped):
+                assert term.data[row] == pytest.approx(want[0], abs=1e-10)
+                assert act.data[row] == pytest.approx(want[1], abs=1e-10)
