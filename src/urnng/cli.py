@@ -243,6 +243,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     trainer, _, sentences = _load_parser(args)
     lines = []
     for i, sentence in enumerate(sentences):

@@ -24,9 +24,10 @@ Trees are span arrays [n, T-1, 2] (see :mod:`urnng.treebank`); :func:`_walk`
 builds them for both the sampler and Viterbi.
 
 :class:`InferenceNetwork` produces the scores from a bidirectional LSTM over
-the sentence, gathering the features of all spans from its outputs at once;
-the chart functions accept scores from any source, which is how the oracle
-cross-checks drive them with raw tables.
+the sentence, each direction one :func:`~urnng.nn.lstm_layer` node over a
+chain of pushes, and gathers the features of all spans from its outputs at
+once; the chart functions accept scores from any source, which is how the
+oracle cross-checks drive them with raw tables.
 """
 
 from __future__ import annotations
@@ -354,8 +355,9 @@ class InferenceNetwork:
         ``ids`` is an integer array [B, T].  Pass ``rng`` to enable dropout
         (training mode); omit it for deterministic evaluation.
 
-        Rows are position-major: row p·B + b holds padded position p of
-        batch row b.  Fencepost k = 0..T, after word k, is [f_{k+1} ; -b_k],
+        Padded position p of batch row b is push 1 + p·B + b of both
+        directions' LSTM layers, each a chain with a level per position.
+        Fencepost k = 0..T, after word k, is [f_{k+1} ; -b_k], row k·B + b,
         so the features [f_{j+1} - f_i ; b_{i-1} - b_j] of span (i, j) are
         fencepost j minus fencepost i-1 (to the bit: negation is exact), and
         the [n_spans·B, 2H] sheet, span-major in ``span_order``, is two
@@ -377,26 +379,23 @@ class InferenceNetwork:
         # Inputs at padded positions 0..T+1: boundary, words, boundary, each
         # with its learned position embedding added.  Rows 0 and 1 of the
         # gathered table are the two boundaries, row 2 + (p-1)·B + b a word.
+        # Input row i is push i's; row 0, push 0's, is never read.
         table = ad.concat([p["inf.boundary"],
                            ad.take_rows(self.embedding, ids.T.ravel())])
         x = ad.add(ad.take_rows(table, np.pad(np.arange(2, t * batch + 2),
-                                              batch, constant_values=(0, 1))),
+                                              (batch + 1, batch),
+                                              constant_values=(0, 1))),
                    ad.take_rows(p["inf.position"],
-                                np.repeat(np.arange(t + 2), batch)))
-
-        def run(w: Tensor, b: Tensor, positions) -> list[Tensor]:
-            state = (nn.zeros((batch, self.hidden_dim)),) * 2
-            hs = [None] * (t + 2)
-            for pos in positions:
-                step = ad.take_rows(x, pos * batch + np.arange(batch))
-                state = nn.lstm_cell(step, state, w, b)
-                hs[pos] = state[0]
-            return hs
-
-        fwd = run(p["inf.fwd_w"], p["inf.fwd_b"], range(t + 2))
-        bwd = run(p["inf.bwd_w"], p["inf.bwd_b"], range(t + 1, -1, -1))
-        posts = ad.concat([ad.concat(fwd[1:]),
-                           ad.scale(ad.concat(bwd[:-1]), -1.0)], axis=1)
+                                np.r_[0, np.repeat(np.arange(t + 2), batch)]))
+        push = 1 + np.arange((t + 2) * batch).reshape(t + 2, batch)
+        fwd_below, bwd_below = np.zeros((2, push.size + 1), np.int64)
+        fwd_below[push[1:]], bwd_below[push[:-1]] = push[:-1], push[1:]
+        fwd = nn.lstm_layer(x, fwd_below, push, p["inf.fwd_w"], p["inf.fwd_b"])
+        bwd = nn.lstm_layer(x, bwd_below, push[::-1], p["inf.bwd_w"],
+                            p["inf.bwd_b"])
+        posts = ad.concat([ad.narrow(fwd, 0, 1 + batch, (t + 1) * batch),
+                           ad.scale(ad.narrow(bwd, 0, 1, (t + 1) * batch),
+                                    -1.0)], axis=1)
         i, j = np.triu_indices(t)  # spans (i+1, j+1), in span_order
         sheet = ad.sub(ad.take_rows(posts, rows(j + 1)),
                        ad.take_rows(posts, rows(i)))

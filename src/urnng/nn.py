@@ -1,9 +1,13 @@
 """Small neural-network building blocks shared by the two models.
 
 Everything here is a pure function over :class:`~urnng.autodiff.Tensor`
-values, except the cell pair :func:`cell` and :func:`cell_vjp`, which work
-on plain arrays so that the stack model's reverse sweep can call them too;
-parameter creation and ownership live with the model classes.
+values, except two pairs on plain arrays, which the stack model's reverse
+sweep calls too: the cell, :func:`cell` and :func:`cell_vjp`, and an LSTM
+layer over levels of a push table, :func:`lstm_levels` and
+:func:`lstm_levels_vjp`.  That layer runs every LSTM: the stack model's
+and the RNNLM's (a level per stack position, or per step while sampling)
+and, through the primitive :func:`lstm_layer`, each direction of the span
+scorer's BiLSTM (a level per position).  The tree cell calls :func:`cell`.
 """
 
 from __future__ import annotations
@@ -27,10 +31,6 @@ def make_params(rng: np.random.Generator, shapes: dict,
     """One parameter per name in ``shapes``, drawn in its order."""
     return {name: make_param(rng, name, shape, scale)
             for name, shape in shapes.items()}
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -81,22 +81,6 @@ def tied_word_log_prob(x: Tensor, emb: Tensor, b: Tensor, words) -> Tensor:
     return ad._emit("tied_word_log_prob", picked, (x, emb, b), vjp)
 
 
-def lstm_cell(x: Tensor, state: tuple[Tensor, Tensor], w: Tensor,
-              b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step as one primitive.  ``w`` is [(x_dim + hidden),
-    4 * hidden], gates i,f,o,g."""
-    h_prev, c_prev = state
-    h, c, saved = cell([x.data, h_prev.data], w.data, b.data, (c_prev.data,))
-    wd, split = w.data, x.shape[1]
-
-    def vjp(grads):
-        dx, dz, (dc,) = cell_vjp(saved, wd, *grads)
-        return (dx[:, :split], dx[:, split:], dc,
-                ad._Factors(saved[0], None, dz), dz.sum(axis=0))
-
-    return ad._emit("lstm_cell", (h, c), (x, h_prev, c_prev, w, b), vjp)
-
-
 def cell(parts: list, w: np.ndarray, b: np.ndarray, cells: tuple):
     """(h, c, saved) of one cell on plain arrays.
 
@@ -134,3 +118,64 @@ def cell_vjp(saved, w: np.ndarray, gh, gc):
                          dc * sig[:, :d] * (1.0 - g * g)], axis=1)
     return dz @ w.T, dz, [dc * sig[:, k * d:(k + 1) * d]
                           for k in range(1, len(cells) + 1)]
+
+
+def lstm_levels(x: np.ndarray, below: np.ndarray, levels, w: np.ndarray,
+                b: np.ndarray, h: np.ndarray, c: np.ndarray,
+                saved: list | None = None) -> None:
+    """Run one LSTM layer over pushes, a level of them at a time: push i
+    reads input row ``x[i]`` and the state of push ``below[i]``, which is in
+    an earlier level or is push 0, the zero state.  The [pushes, hidden]
+    state tables ``h`` and ``c`` are set in place; ``saved`` collects each
+    level's pushes and what :func:`cell_vjp` reads."""
+    for at in levels:
+        under = below[at]
+        new_h, new_c, kept = cell([x[at], h[under]], w, b, (c[under],))
+        if not np.isfinite(new_h).all():
+            raise ad.NumericError("LSTM layer: non-finite state")
+        h[at], c[at] = new_h, new_c
+        if saved is not None:
+            saved.append((at, kept))
+        # drop this level's arrays before the next level allocates: held
+        # across it, they make malloc fault in fresh pages for each level
+        del new_h, new_c, kept
+
+
+def lstm_levels_vjp(saved: list, below: np.ndarray, w: np.ndarray,
+                    gh: np.ndarray, store: dict, key: int) -> np.ndarray:
+    """The reverse sweep of :func:`lstm_levels` with weight ``w``, given the
+    gradient ``gh`` of its h table, which it adds into: the gradient of its
+    x, with the partials of ``w`` and ``b`` summed into ``store`` at ``key``
+    and ``key + 1`` as the tape sums them.  It pops ``saved``."""
+    split = w.shape[0] - gh.shape[1]
+    gc, dx = np.zeros_like(gh), np.zeros((len(gh), split))
+    while saved:
+        at, kept = saved.pop()
+        dxh, dz, (dc,) = cell_vjp(kept, w, gh[at], gc[at])
+        dx[at] = dxh[:, :split]
+        # pushes of one level may share the push beneath
+        np.add.at(gh, below[at], dxh[:, split:])
+        np.add.at(gc, below[at], dc)
+        ad._accumulate(store, key, w.shape, ad._Factors(kept[0], None, dz))
+        ad._accumulate(store, key + 1, w.shape[1:], dz.sum(axis=0))
+        del kept, dxh, dz, dc  # as in lstm_levels
+    return dx
+
+
+def lstm_layer(x: Tensor, below: np.ndarray, levels, w: Tensor,
+               b: Tensor) -> Tensor:
+    """The h table of :func:`lstm_levels` over the rows of ``x``, as one
+    primitive whose vjp, the reverse sweep, runs once."""
+    h, c = np.zeros((2, x.shape[0], b.shape[0] // 4))
+    saved = []
+    lstm_levels(x.data, below, levels, w.data, b.data, h, c, saved)
+
+    def vjp(g):
+        nonlocal saved
+        if saved is None:
+            raise RuntimeError("LSTM layer: a backward swept it")
+        todo, saved, store = saved, None, {}
+        return (lstm_levels_vjp(todo, below, w.data, g, store, 0),
+                store.get(0), store.get(1))
+
+    return ad._emit("lstm_layer", h, (x, w, b), vjp)

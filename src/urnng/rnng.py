@@ -23,18 +23,18 @@ push beneath it, its word or its two children, and its tree height.  A
 push's LSTM state depends only on the push beneath it and on its content,
 and a REDUCE's content only on its two children, so scoring runs level by
 level: the tree cell once per height, then each LSTM layer once per stack
-position, over all rows at once.  The samplers must read the top state
-before each draw, so they run the cells step by step instead.  Without a
-tape and without dropout, rows that have taken the same actions over the
-same words share each push, a node of the prefix trie.  Neither head feeds
-back into the stack, so the action head scores all steps in one pass and
-the word head all SHIFT and EOS contexts in one tied-softmax pass (untaped,
-in blocks of bounded size), as the RNNLM baseline scores its words.
+position (:func:`~urnng.nn.lstm_levels`), over all rows at once.  The
+samplers must read the top state before each draw, so each of their steps
+is one level.  Without a tape and without dropout, rows that have taken
+the same actions over the same words share each push, a node of the
+prefix trie.  Neither head feeds back into the stack, so the action head
+scores all steps in one pass and the word head all SHIFT and EOS contexts
+in one tied-softmax pass (untaped, in blocks of bounded size).  On a tape
+the contexts are one node, whose vjp sweeps the levels in reverse.
 
-On a tape the contexts are one node that keeps what each cell's vjp reads
-and the boolean dropout patterns.  Its vjp walks the levels in reverse
-(layers top-down, positions deepest first, then heights highest first) with
-gradient tables shaped like the state.
+The RNNLM baseline is the same recurrence over SHIFTs alone, under its own
+LSTM weights and word bias: a level per position, with the dropout draws
+of a step-by-step LSTM, and the same word head.
 """
 
 from __future__ import annotations
@@ -60,14 +60,13 @@ class _Stack:
     table ``layers`` its content.  ``top[r]`` is row r's top push.  If
     ``shared``, pushes are prefix-trie nodes: a step maps each distinct
     (top, action, word on SHIFT) to one push; else push 1 + t * n + r is
-    row r's at step t.  A list ``saved`` collects each cell call's pushes
-    and what its vjp reads.
+    row r's at step t.
     """
 
     def __init__(self, model: "GenerativeModel", n: int, steps: int,
                  shared: bool):
-        self.model, self.shared, self.saved, self.count = model, shared, None, 1
-        self.inputs = tuple(model.params.values())[:2 * model.layers + 3]
+        self.model, self.shared, self.count = model, shared, 1
+        self.inputs = model.stack_params()
         size = steps * n + 1
         self.stack = np.zeros((n, steps + 3), np.int64)  # pushes by position
         self.depth, self.used, self.top = np.zeros((3, n), np.int64)
@@ -110,35 +109,32 @@ class _Stack:
         self.stack[rows, self.depth] = self.top
         return new, child
 
-    def cell(self, at: np.ndarray, layer: int, x: np.ndarray | None = None):
-        """Run layer ``layer``'s LSTM cell on pushes ``at`` over inputs
-        ``x[at]``, or for ``layer`` = layers the tree cell over their
-        children, and set their state."""
-        h, c = self.h[layer], self.c[layer]
-        if x is None:
-            left, right = self.kids[at].T
-            parts, cells = [h[left], h[right]], (c[left], c[right])
-        else:
-            under = self.below[at]
-            parts, cells = [x[at], h[under]], (c[under],)
-        w, b = self.inputs[1 + 2 * layer:3 + 2 * layer]
-        new_h, new_c, saved = nn.cell(parts, w.data, b.data, cells)
-        if not np.isfinite(new_h).all():
-            raise ad.NumericError("stack recurrence: non-finite state")
-        h[at], c[at] = new_h, new_c
-        if self.saved is not None:
-            self.saved.append((at, saved))
+    def compose(self, at: np.ndarray, saved: list | None = None):
+        """Run the tree cell on REDUCE pushes ``at`` over their children
+        and set their content, which layer 0 checks is finite; ``saved``
+        collects what its vjp reads."""
+        layers = self.model.layers
+        h, c = self.h[layers], self.c[layers]
+        left, right = self.kids[at].T
+        w, b = self.inputs[1 + 2 * layers:]
+        h[at], c[at], kept = nn.cell([h[left], h[right]], w.data, b.data,
+                                     (c[left], c[right]))
+        if saved is not None:
+            saved.append((at, kept))
 
     def step(self, actions: np.ndarray, word_ids: np.ndarray | None) -> tuple:
-        """:meth:`push`, then the cells of the new pushes: the samplers'
-        step-major path, which reads each top state before the next draw."""
+        """:meth:`push`, then the cells of the new pushes as one level: the
+        samplers' step-major path, which reads each top state before the
+        next draw."""
         new, child = self.push(actions, word_ids)
         layers, word = self.model.layers, self.word[new]
         self.h[layers][new[word >= 0]] = self.inputs[0].data[word[word >= 0]]
         if (word < 0).any():
-            self.cell(new[word < 0], layers)
+            self.compose(new[word < 0])
         for layer in range(layers):
-            self.cell(new, layer, self.h[layer - 1 if layer else layers])
+            w, b = self.inputs[1 + 2 * layer:3 + 2 * layer]
+            nn.lstm_levels(self.h[layer - 1 if layer else layers], self.below,
+                           [new], w.data, b.data, self.h[layer], self.c[layer])
         return new, child
 
 
@@ -161,14 +157,15 @@ def _keep_patterns(model: "GenerativeModel", n: int, steps: int,
 
 def _recurrence(model: "GenerativeModel", ids: np.ndarray,
                 actions: np.ndarray, rng: np.random.Generator | None):
-    """(contexts, tops, free) of [n, T] ``ids`` under [n, 2T - 1]
-    ``actions``: each push's top-layer h under its context dropout as one
-    [pushes + 1, dim] node; each row's top push before each step and
-    whether that step is free, both [2T, n]."""
+    """(contexts, tops, free) of [n, T] ``ids`` under [n, steps]
+    ``actions`` (2T - 1 in the joint, T SHIFTs in the RNNLM): each push's
+    top-layer h under its context dropout as one [pushes + 1, dim] node;
+    each row's top push before each step and whether that step is free,
+    both [steps + 1, n]."""
     (n, steps), t_len = actions.shape, ids.shape[1]
     layers, rate, dim = model.layers, model.dropout, model.dim
     keep = _keep_patterns(model, n, steps, rng)
-    inputs = tuple(model.params.values())[:2 * layers + 3]
+    inputs = model.stack_params()
     taped = bool(ad._tape_stack) and any(t.requires_grad for t in inputs)
     stack = _Stack(model, n, steps, keep[0] is None and not taped)
     tops, free = [], []
@@ -179,64 +176,51 @@ def _recurrence(model: "GenerativeModel", ids: np.ndarray,
             stack.push(actions[:, t], ids[np.arange(n), stack.used % t_len])
 
     # contents one tree height at a time, then each layer one stack
-    # position at a time
+    # position at a time; ``saved`` holds what each layer's levels and the
+    # tree cell's heights keep for the sweep
     size, below, kids = stack.count, stack.below, stack.kids
     pos, word = stack.pos[:size], stack.word[:size]
     depths = [np.flatnonzero(pos == p) for p in range(1, pos.max() + 1)]
     heights = [np.flatnonzero(stack.height[:size] == k)
                for k in range(1, stack.height.max() + 1)]
     shifts = np.flatnonzero(word >= 0)
-    stack.saved = [] if taped else None
+    saved = [[] if taped else None for _ in range(layers + 1)]
     stack.h[layers][shifts] = inputs[0].data[word[shifts]]
     for at in heights:
-        stack.cell(at, layers)
+        stack.compose(at, saved[layers])
     for layer in range(layers):
         lower = layer - 1 if layer else layers  # layer 0 reads contents
         x = ad.dropped(stack.h[lower][:size], keep[layer], rate)
         stack.h[lower] = stack.c[lower] = None  # nothing reads them now
-        for at in depths:
-            stack.cell(at, layer, x)
-    levels = stack.saved
+        w, b = inputs[1 + 2 * layer:3 + 2 * layer]
+        nn.lstm_levels(x, below, depths, w.data, b.data, stack.h[layer],
+                       stack.c[layer], saved[layer])
 
     def sweep(g):
         # the partials of ``inputs``; the levels are dropped as they are
         # swept, so this runs once
-        nonlocal levels
-        if levels is None:
+        nonlocal saved
+        if saved is None:
             raise RuntimeError("stack recurrence: a backward swept it")
-        todo, levels, store = levels, None, {}
-
-        def back(i, gh, gc):
-            # the last level not yet swept, backward: its pushes, its input
-            # gradient split in two parts, its previous cells' gradients
-            at, saved = todo.pop()
-            dx, dz, dcells = nn.cell_vjp(saved, inputs[i].data, gh[at],
-                                         gc[at])
-            for k, part in ((i, ad._Factors(saved[0], None, dz)),
-                            (i + 1, dz.sum(axis=0))):
-                ad._accumulate(store, k, inputs[k].shape, part)
-            return at, dx[:, :dim], dx[:, dim:], dcells
-
+        (*levels, trees), saved, store = saved, None, {}
         gh = ad.dropped(g, keep[-1], rate)  # the backward's own array
         for layer in reversed(range(layers)):
-            gc, dx = np.zeros((2, size, dim))
-            for _ in depths:
-                at, dx_at, dh, (dc,) = back(1 + 2 * layer, gh, gc)
-                dx[at] = dx_at
-                # pushes of one level may share the push beneath
-                np.add.at(gh, below[at], dh)
-                np.add.at(gc, below[at], dc)
-            gh = ad.dropped(dx, keep[layer], rate)
-        gc = np.zeros_like(gh)
-        for _ in heights:
-            at, dl, dr, (dcl, dcr) = back(1 + 2 * layers, gh, gc)
-            left, right = kids[at].T
-            gh[left] += dl
-            gh[right] += dr
-            gc[left] += dcl
-            gc[right] += dcr
-        return (ad._Factors(None, word[shifts], gh[shifts]),
-                *(store.get(i) for i in range(1, len(inputs))))
+            i = 1 + 2 * layer
+            gh = ad.dropped(nn.lstm_levels_vjp(levels[layer], below,
+                                               inputs[i].data, gh, store, i),
+                            keep[layer], rate)
+        gc, i = np.zeros_like(gh), 1 + 2 * layers
+        while trees:    # the tree cell, highest first
+            at, kept = trees.pop()
+            dx, dz, dcells = nn.cell_vjp(kept, inputs[i].data, gh[at], gc[at])
+            ad._accumulate(store, i, inputs[i].shape,
+                           ad._Factors(kept[0], None, dz))
+            ad._accumulate(store, i + 1, dz.shape[1:], dz.sum(axis=0))
+            for k, kid in enumerate(kids[at].T):    # left, then right
+                gh[kid] += dx[:, k * dim:(k + 1) * dim]
+                gc[kid] += dcells[k]
+        store[0] = ad._Factors(None, word[shifts], gh[shifts])
+        return tuple(store.get(k) for k in range(len(inputs)))
 
     context = ad.dropped(stack.h[layers - 1][:size], keep[-1], rate)
     return (ad._emit("stack_recurrence", context, inputs, sweep),
@@ -257,10 +241,12 @@ class GenerationResult:
 
 
 class _TiedLM:
-    """Sizes, dropout, the EOS id and the parameters both language models
-    share, named under ``prefix``; ``head_shapes`` go before the word bias."""
+    """Sizes, dropout, the EOS id, the parameters both language models
+    share, named under ``prefix`` (``head_shapes`` go before the word bias),
+    and the word head both score with."""
 
     prefix = ""
+    tree_names: tuple[str, ...] = ()
 
     def __init__(self, vocab_size: int, dim: int = 650, layers: int = 2,
                  dropout: float = 0.5, eos_id: int = 1,
@@ -284,11 +270,40 @@ class _TiedLM:
         """All parameters, including the embedding table."""
         return dict(self.params)
 
+    def stack_params(self) -> tuple[Tensor, ...]:
+        """What the stack recurrence reads: the embedding table, each
+        layer's LSTM weight and bias, then the tree cell's, if any."""
+        p = self.params
+        return (p["emb"], *(p[f"{self.prefix}.lstm_{k}{layer}"]
+                            for layer in range(self.layers) for k in "wb"),
+                *(p[name] for name in self.tree_names))
+
+    def word_log_likelihood(self, context: Tensor, tops: np.ndarray,
+                            ids: np.ndarray, actions: np.ndarray) -> Tensor:
+        """log p of each row's words and EOS, shape [n], read off the
+        recurrence's ``context`` table at ``tops`` before each SHIFT and
+        after the last step; each distinct (context, word) is scored once,
+        in order of first occurrence, so rows sharing nothing keep order."""
+        n, t_len = ids.shape
+        read = np.hstack([actions == SHIFT, np.ones((n, 1), dtype=bool)])
+        at = tops.T[read].reshape(n, t_len + 1).T.ravel()
+        words = np.hstack([ids, np.full((n, 1), self.eos_id)]).T.ravel()
+        _, first, which = np.unique(at * self.vocab_size + words,
+                                    return_index=True, return_inverse=True)
+        which = np.argsort(np.argsort(first))[which.ravel()]
+        first = np.sort(first)
+        word = nn.tied_word_log_prob(
+            ad.take_rows(context, at[first]), self.params["emb"],
+            self.params[f"{self.prefix}.word_b"], words[first])
+        word = ad.take_rows(word, which)
+        return ad.sum_axis(ad.reshape(word, (t_len + 1, n)), 0)
+
 
 class GenerativeModel(_TiedLM):
     """Two-layer stack LSTM with tree-LSTM composition and tied word head."""
 
     prefix = "gen"
+    tree_names = ("gen.tree_w", "gen.tree_b")
 
     def head_shapes(self, dim: int) -> dict:
         return {"gen.tree_w": (2 * dim, 5 * dim), "gen.tree_b": (5 * dim,),
@@ -330,20 +345,7 @@ class GenerativeModel(_TiedLM):
                        Tensor(np.where(free, -1.0, 0.0).ravel()))
         action = ad.sum_axis(ad.reshape(terms, (steps + 1, n)), 0)
 
-        # each word is read off the context before its SHIFT, EOS off the
-        # last; each distinct (context, word) is scored once, in order of
-        # first occurrence, so rows that share nothing keep their order
-        read = np.hstack([actions == SHIFT, np.ones((n, 1), dtype=bool)])
-        at = at.T[read].reshape(n, t_len + 1).T.ravel()
-        words = np.hstack([ids, np.full((n, 1), self.eos_id)]).T.ravel()
-        _, first, which = np.unique(at * self.vocab_size + words,
-                                    return_index=True, return_inverse=True)
-        which = np.argsort(np.argsort(first))[which.ravel()]
-        first = np.sort(first)
-        word = nn.tied_word_log_prob(ad.take_rows(context, at[first]),
-                                     p["emb"], p["gen.word_b"], words[first])
-        word = ad.take_rows(word, which)
-        terminal = ad.sum_axis(ad.reshape(word, (t_len + 1, n)), 0)
+        terminal = self.word_log_likelihood(context, at, ids, actions)
         return terminal, action
 
     def joint_log_likelihood(self, ids, tree_or_actions) -> tuple[float, float]:
@@ -452,25 +454,9 @@ class RNNLM(_TiedLM):
 
     def log_likelihood_batch(self, ids: np.ndarray,
                              rng: np.random.Generator | None = None) -> Tensor:
-        """Per-sentence log-likelihood including the EOS event, shape [n]."""
+        """Per-sentence log-likelihood including the EOS event, shape [n]:
+        the stack recurrence over SHIFTs alone, and its word head."""
         ids = np.asarray(ids, dtype=np.int64)
-        n, t_len = ids.shape
-        p = self.params
-        zero = nn.zeros((n, self.dim))
-        states = [(zero, zero) for _ in range(self.layers)]
-        contexts = []
-        for pos in range(t_len + 1):
-            contexts.append(ad.dropout(states[-1][0], self.dropout, rng))
-            if pos < t_len:
-                inp = ad.dropout(ad.take_rows(p["emb"], ids[:, pos]),
-                                 self.dropout, rng)
-                for layer in range(self.layers):
-                    states[layer] = nn.lstm_cell(inp, states[layer],
-                                                 p[f"lm.lstm_w{layer}"],
-                                                 p[f"lm.lstm_b{layer}"])
-                    if layer + 1 < self.layers:
-                        inp = ad.dropout(states[layer][0], self.dropout, rng)
-        words = np.hstack([ids, np.full((n, 1), self.eos_id)]).T
-        word = nn.tied_word_log_prob(ad.concat(contexts, axis=0), p["emb"],
-                                     p["lm.word_b"], words.ravel())
-        return ad.sum_axis(ad.reshape(word, (t_len + 1, n)), 0)
+        actions = np.full(ids.shape, SHIFT)
+        context, tops, _ = _recurrence(self, ids, actions, rng)
+        return self.word_log_likelihood(context, tops, ids, actions)

@@ -18,6 +18,7 @@ from urnng.autodiff import (GradCheckReport, NumericError, ShapeError, Tape,
                             Tensor, grad_check)
 from urnng.rnng import GenerativeModel
 from urnng.treebank import random_tree, tree_to_actions
+from test_nn import lstm_cell
 
 
 def rng():
@@ -379,9 +380,9 @@ class TestTapeSemantics:
         xs = [param(r, 2, x_dim, name=f"x{t}") for t in range(3)]
 
         def f():
-            state = (nn.zeros((2, hidden)), nn.zeros((2, hidden)))
+            state = (Tensor(np.zeros((2, hidden))),) * 2
             for x in xs:
-                state = nn.lstm_cell(x, state, w, b)
+                state = lstm_cell(x, state, w, b)
             return ad.sum_all(ad.mul(state[0], state[0]))
 
         assert_grads_ok(f, [w, b] + xs)
@@ -541,10 +542,10 @@ class TestTapeKeepsWhatBackwardReads:
             w, b = param(r, 8, 16, name="w"), param(r, 16, name="b")
             x = Tensor(r.standard_normal((3, 4)))
             with Tape() as tape:
-                state = (nn.zeros((3, 4)), nn.zeros((3, 4)))
+                state = (Tensor(np.zeros((3, 4))),) * 2
                 steps = []
                 for _ in range(5):
-                    state = nn.lstm_cell(x, state, w, b)
+                    state = lstm_cell(x, state, w, b)
                     steps.append(ad.reshape(ad.sum_all(ad.tanh(state[1])),
                                             (1,)))
                 root = ad.sum_all(ad.mul(ad.concat(steps), ad.concat(steps)))

@@ -13,6 +13,7 @@ from urnng.crf import (Chart, InferenceNetwork, SpanScores, flatten, inside,
                        span_order, tree_entropy, tree_log_prob,
                        tree_log_prob_batch, viterbi)
 from urnng.treebank import DataError, TreeRepr, count_trees, left_branching
+from test_nn import lstm_cell
 
 
 def random_scores(t, rng, scale=2.0, batch=1):
@@ -72,10 +73,10 @@ def reference_span_scores(net, ids, rng=None):
     fwd, bwd = [None] * (t + 2), [None] * (t + 2)
     for out, name, order in ((fwd, "fwd", range(t + 2)),
                              (bwd, "bwd", range(t + 1, -1, -1))):
-        state = (nn.zeros((batch, net.hidden_dim)),) * 2
+        state = (Tensor(np.zeros((batch, net.hidden_dim))),) * 2
         for pos in order:
-            state = nn.lstm_cell(inputs[pos], state, p[f"inf.{name}_w"],
-                                 p[f"inf.{name}_b"])
+            state = lstm_cell(inputs[pos], state, p[f"inf.{name}_w"],
+                              p[f"inf.{name}_b"])
             out[pos] = state[0]
     feats = [ad.concat([ad.sub(fwd[j + 1], fwd[i]),
                         ad.sub(bwd[i - 1], bwd[j])], axis=1)
@@ -438,6 +439,17 @@ class TestInferenceNetwork:
         grads = tape.backward(root)
         for p in [*net.parameters().values(), net.embedding]:
             assert np.all(np.isfinite(grads[p]))
+
+    def test_span_scorer_tape_nodes_do_not_grow_with_length(self):
+        # each BiLSTM direction is one node over all positions
+        net = self.tiny(max_len=48, dropout=0.3)
+        counts = []
+        for t in (12, 48):
+            ids = np.random.default_rng(t).integers(0, 12, (3, t))
+            with Tape() as tape:
+                net.span_scores(ids, np.random.default_rng(0))
+            counts.append(len(tape))
+        assert counts[0] == counts[1] <= 30
 
     def test_length_capacity_guard(self):
         net = self.tiny()

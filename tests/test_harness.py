@@ -457,6 +457,16 @@ class TestCliExitCodes:
                          "--checkpoint", str(tmp_path / "bad.ckpt")]) == 2
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_sample_without_draws_is_data_error(self, workspace, capsys,
+                                                samples):
+        assert cli.main(["sample", "--corpus",
+                         str(workspace / "valid.tokens"),
+                         "--checkpoint", str(workspace / "run" / "last.ckpt"),
+                         "--samples", samples]) == 2
+        assert f"--samples must be >= 1, got {samples}" in \
+            capsys.readouterr().err
+
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         from urnng.verify import PropertyResult
         monkeypatch.setattr(

@@ -1,13 +1,15 @@
-"""The fused LSTM cell, the array-level cell pair and the tied word head
-against the op-by-op composition.
+"""The array-level cell pair, the LSTM layer over levels of pushes and
+the tied word head against the op-by-op composition.
 
-``nn.lstm_cell`` records one primitive for the concat, matmul, bias and
-gates; the stack model's tree cell runs ``nn.cell`` and ``nn.cell_vjp`` on
-plain arrays, and ``tree_cell`` below wraps that pair as one test node.  The
-compositions build the same cells from single primitives; the fused forward
-must match them bit for bit, and the hand-written vjps must pass
-``grad_check``.  ``nn.tied_word_log_prob`` is one primitive for the logits,
-log-softmax and pick, in blocks of at most ``nn.WORD_BLOCK`` logits.
+``nn.cell`` and ``nn.cell_vjp`` run one cell on plain arrays; ``lstm_cell``
+and ``tree_cell`` below wrap that pair as one test node each, the LSTM step
+and the stack model's tree cell.  The unfused compositions build the same
+cells from single primitives; the fused forward must match them bit for
+bit, and the hand-written vjps must pass ``grad_check``.  ``nn.lstm_layer``
+runs every LSTM of the package, one level of pushes at a time, and must
+match the unfused cell run push by push.  ``nn.tied_word_log_prob`` is one
+primitive for the logits, log-softmax and pick, in blocks of at most
+``nn.WORD_BLOCK`` logits.
 """
 
 import numpy as np
@@ -44,6 +46,22 @@ def unfused_tree_cell(left, right, w, b):
     c = ad.add(ad.add(ad.mul(fl, cl), ad.mul(fr, cr)), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
     return h, c
+
+
+def lstm_cell(x, state, w, b):
+    """One LSTM step on the array-level cell pair: ``w`` is [(x_dim +
+    hidden), 4 * hidden] with gate order i, f, o, g."""
+    h_prev, c_prev = state
+    split = x.shape[1]
+    h, c, saved = nn.cell([x.data, h_prev.data], w.data, b.data,
+                          (c_prev.data,))
+
+    def vjp(grads):
+        dx, dz, (dc,) = nn.cell_vjp(saved, w.data, *grads)
+        return (dx[:, :split], dx[:, split:], dc, saved[0].T @ dz,
+                dz.sum(axis=0))
+
+    return ad._emit("lstm_cell", (h, c), (x, h_prev, c_prev, w, b), vjp)
 
 
 def tree_cell(left, right, w, b):
@@ -94,7 +112,7 @@ class TestForwardBitIdentity:
     def test_lstm_cell(self, n, x_dim, hidden, scale):
         x, state, w, b = lstm_inputs(np.random.default_rng(n), n, x_dim,
                                      hidden, scale)
-        for got, want in zip(nn.lstm_cell(x, state, w, b),
+        for got, want in zip(lstm_cell(x, state, w, b),
                              unfused_lstm_cell(x, state, w, b)):
             np.testing.assert_array_equal(got.data, want.data)
 
@@ -112,9 +130,9 @@ class TestForwardBitIdentity:
         x_dim, hidden = 6, 5
         w, b = param(r, x_dim + hidden, 4 * hidden), param(r, 4 * hidden)
         xs = [Tensor(r.standard_normal((4, x_dim))) for _ in range(12)]
-        fused = unfused = (nn.zeros((4, hidden)), nn.zeros((4, hidden)))
+        fused = unfused = (Tensor(np.zeros((4, hidden))),) * 2
         for x in xs:
-            fused = nn.lstm_cell(x, fused, w, b)
+            fused = lstm_cell(x, fused, w, b)
             unfused = unfused_lstm_cell(x, unfused, w, b)
         np.testing.assert_array_equal(fused[0].data, unfused[0].data)
         np.testing.assert_array_equal(fused[1].data, unfused[1].data)
@@ -125,7 +143,7 @@ class TestGradients:
         x, state, w, b = lstm_inputs(np.random.default_rng(4), 3, 2, 3)
 
         def f():
-            h, c = nn.lstm_cell(x, state, w, b)
+            h, c = lstm_cell(x, state, w, b)
             return ad.add(ad.sum_all(ad.mul(h, h)), ad.sum_all(ad.mul(c, c)))
 
         report = grad_check(f, [x, *state, w, b])
@@ -147,7 +165,7 @@ class TestGradients:
         x, state, w, b = lstm_inputs(np.random.default_rng(6), 2, 3, 2)
 
         def f():
-            return ad.sum_all(nn.lstm_cell(x, state, w, b)[used])
+            return ad.sum_all(lstm_cell(x, state, w, b)[used])
 
         report = grad_check(f, [x, *state, w, b])
         assert report.passed, report
@@ -175,14 +193,82 @@ class TestTape:
         # the concat, matmul, bias and gates are one primitive
         x, state, w, b = lstm_inputs(np.random.default_rng(9), 2, 3, 2)
         with Tape() as tape:
-            h, c = nn.lstm_cell(x, state, w, b)
+            h, c = lstm_cell(x, state, w, b)
         assert len(tape) == 1
         assert h.node is c.node
 
     def test_untaped_outputs_are_plain(self):
         x, state, w, b = lstm_inputs(np.random.default_rng(10), 2, 3, 2)
-        h, c = nn.lstm_cell(x, state, w, b)
+        h, c = lstm_cell(x, state, w, b)
         assert h.node is None and c.node is None
+
+
+# push i lies on push below[i]; push 0 is the zero state.  A chain of four
+# levels, and a forest whose first level has two pushes over push 0, its
+# second three over push 1 and its third two over push 3
+CHAIN = (np.array([0, 0, 1, 2, 3]), [[1], [2], [3], [4]])
+FOREST = (np.array([0, 0, 1, 1, 1, 3, 3, 0]), [[1, 7], [2, 3, 4], [5, 6]])
+
+
+def layer_inputs(seed, pushes, x_dim=3, hidden=4):
+    r = np.random.default_rng(seed)
+    return (param(r, pushes, x_dim, name="x"),
+            param(r, x_dim + hidden, 4 * hidden, name="w"),
+            param(r, 4 * hidden, name="b"))
+
+
+class TestLstmLayer:
+    @pytest.mark.parametrize("below,levels", [CHAIN, FOREST],
+                             ids=["chain", "forest"])
+    def test_matches_the_unfused_cell_level_by_level(self, below, levels):
+        # each push reads the state of its own push beneath; the unfused
+        # cell runs once per level, since a one-row product takes another
+        # BLAS path than a several-row one and may round differently
+        x, w, b = layer_inputs(17, len(below))
+        h = nn.lstm_layer(x, below, levels, w, b).data
+        hidden = h.shape[1]
+        states = (Tensor(np.zeros((len(below), hidden))),) * 2
+        for at in levels:
+            new = unfused_lstm_cell(ad.take_rows(x, at),
+                                    [ad.take_rows(s, below[at])
+                                     for s in states], w, b)
+            states = [Tensor(s.data.copy()) for s in states]
+            for s, value in zip(states, new):
+                s.data[at] = value.data
+            np.testing.assert_array_equal(h[at], new[0].data)
+        np.testing.assert_array_equal(h, states[0].data)
+
+    @pytest.mark.parametrize("below,levels", [CHAIN, FOREST],
+                             ids=["chain", "forest"])
+    def test_grad_check(self, below, levels):
+        x, w, b = layer_inputs(18, len(below))
+        weights = Tensor(np.random.default_rng(19).standard_normal(
+            (len(below), 4)))
+
+        def f():
+            h = nn.lstm_layer(x, below, levels, w, b)
+            return ad.sum_all(ad.mul(h, weights))
+
+        report = grad_check(f, [x, w, b])
+        assert report.passed, report
+
+    def test_records_one_node_and_a_second_backward_raises(self):
+        # the sweep pops each level's record, so it runs once
+        below, levels = FOREST
+        x, w, b = layer_inputs(20, len(below))
+        with Tape() as tape:
+            root = ad.sum_all(nn.lstm_layer(x, below, levels, w, b))
+        assert len(tape) == 2
+        assert set(tape.backward(root)) == {x, w, b}
+        with pytest.raises(RuntimeError, match="LSTM layer"):
+            tape.backward(root)
+
+    def test_non_finite_state_raises(self):
+        below, levels = CHAIN
+        x, w, b = layer_inputs(21, len(below))
+        x.data[2, 0] = np.nan
+        with pytest.raises(ad.NumericError, match="LSTM layer"):
+            nn.lstm_layer(x, below, levels, w, b)
 
 
 def unfused_word_head(x, emb, b, words):

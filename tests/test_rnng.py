@@ -487,17 +487,10 @@ class TestHeadsAfterRecurrence:
             in_recurrence.clear()
         assert outside[0] == outside[1]
 
-    def test_rnnlm_nodes_per_position_are_the_recurrence(self):
-        lm = RNNLM(20, dim=4, dropout=0.0, rng=np.random.default_rng(50))
-        p = lm.params
+    def test_rnnlm_tape_nodes_do_not_grow_with_length(self):
+        # the recurrence is one node, as in the joint
+        lm = RNNLM(20, dim=4, dropout=0.5, rng=np.random.default_rng(50))
         ids = np.random.default_rng(51).integers(2, 20, size=(64, 48))
-        with Tape() as tape:
-            inp = ad.take_rows(p["emb"], ids[:, 0])
-            zero = (nn.zeros((64, 4)), nn.zeros((64, 4)))
-            for layer in range(lm.layers):
-                inp, _ = nn.lstm_cell(inp, zero, p[f"lm.lstm_w{layer}"],
-                                      p[f"lm.lstm_b{layer}"])
-        recurrence = len(tape)
 
         def nodes(t):
             with Tape() as tape:
@@ -505,7 +498,7 @@ class TestHeadsAfterRecurrence:
                                         rng=np.random.default_rng(0))
             return len(tape)
 
-        assert nodes(48) - nodes(12) == 36 * recurrence
+        assert nodes(12) == nodes(48) <= 10
 
     def test_untaped_word_head_scores_bounded_passes(self, monkeypatch):
         model = tiny_model(seed=52, vocab=20, dim=4)
@@ -545,9 +538,9 @@ class TestHeadsAfterRecurrence:
         assert terminal.data == pytest.approx(whole_shared[0].data,
                                               rel=1e-13)
         assert action.data == pytest.approx(whole_shared[1].data, rel=1e-13)
-        sizes.clear()
+        sizes.clear()   # the RNNLM shares the same 97 rows
         lm.log_likelihood_batch(shared)
-        assert len(sizes) == 35
+        assert len(sizes) == 33
 
         # taped passes are bounded too: they fill one kept array
         sizes.clear()
@@ -602,6 +595,24 @@ class TestPrefixSharing:
                        for length in range(1, actions.shape[1]))
         assert prefixes == 6
         assert sum(rows) == model.layers * prefixes == 12
+
+    def test_untaped_rnnlm_runs_one_row_per_distinct_prefix(self,
+                                                             monkeypatch):
+        # rows 0 and 3 are equal, rows 0-2 share their first word and rows
+        # 0-1 their first three; a tape keeps one row per sentence
+        lm = RNNLM(8, dim=5, rng=np.random.default_rng(76))
+        ids = np.array([[2, 3, 4, 5], [2, 3, 4, 6], [2, 5, 4, 5],
+                        [2, 3, 4, 5]])
+        prefixes = [len({tuple(row[:k]) for row in ids}) for k in (1, 2, 3, 4)]
+        assert prefixes == [1, 2, 2, 3]
+        rows = self.count_cell_rows(monkeypatch)
+        shared = lm.log_likelihood_batch(ids)
+        assert rows == prefixes * lm.layers
+        rows.clear()
+        with Tape():
+            taped = lm.log_likelihood_batch(ids)
+        assert rows == [len(ids)] * 4 * lm.layers
+        np.testing.assert_array_equal(shared.data, taped.data)
 
     def test_copies_of_one_tree_run_one_row_per_step(self, monkeypatch):
         model = tiny_model(seed=57)
@@ -713,16 +724,18 @@ class TestStackSweep:
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_nan_weight_raises(self, taped):
-        model = tiny_model(seed=67)
-        model.params["gen.lstm_w0"].data[0, 0] = np.nan
+        # a non-finite tree cell shows in layer 0's state
         ids, acts = self.mixed_rows()
-        with pytest.raises(ad.NumericError):
-            if taped:
-                with Tape():
-                    model.joint_log_likelihood_batch(
-                        ids, acts, rng=np.random.default_rng(0))
-            else:
-                model.joint_log_likelihood_batch(ids, acts)
+        for name in ("gen.lstm_w0", "gen.tree_w"):
+            model = tiny_model(seed=67)
+            model.params[name].data[0, 0] = np.nan
+            with pytest.raises(ad.NumericError):
+                if taped:
+                    with Tape():
+                        model.joint_log_likelihood_batch(
+                            ids, acts, rng=np.random.default_rng(0))
+                else:
+                    model.joint_log_likelihood_batch(ids, acts)
 
     def test_taped_joint_nodes_do_not_grow_with_length(self):
         model = tiny_model(seed=68, vocab=20, dim=4, dropout=0.5)
