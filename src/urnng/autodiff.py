@@ -182,16 +182,16 @@ class _Sum:
             prod = a.T @ g
             self.dense = prod if self.dense is None else _plus(self.dense, prod)
         if scatter:
+            # each distinct row's partials summed in index order, then added
+            # once: no temporary the size of the table
             rows, g = map(_cat, zip(*scatter))
+            rows, at = np.unique(rows, return_inverse=True)
+            width = math.prod(self.shape[1:])
+            flat = (at.reshape(-1, 1) * width + np.arange(width)).ravel()
+            summed = np.bincount(flat, g.ravel(), rows.size * width)
             if self.dense is None:
-                # into zeros both sum each entry's rows in index order;
-                # bincount of no rows gives integer zeros, hence the cast
-                width = math.prod(self.shape[1:])
-                flat = (rows[:, None] * width + np.arange(width)).ravel()
-                summed = np.bincount(flat, g.ravel(), math.prod(self.shape))
-                self.dense = summed.reshape(self.shape).astype(float, copy=False)
-            else:
-                np.add.at(self.dense, rows, g)
+                self.dense = np.zeros(self.shape)
+            self.dense[rows] += summed.reshape((rows.size, *self.shape[1:]))
         return self.dense
 
 

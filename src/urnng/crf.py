@@ -7,17 +7,17 @@ function but leave the distribution unchanged).  A batch's scores are a
 [B, n_spans] sheet whose columns follow :func:`span_order`, the row-major
 upper triangle; :func:`span_index` maps span (i, j) to its column.
 
-Everything downstream of the scores is an O(T^3) chart filled one width at a
-time.  The width-w chart is a diagonal laid out start-major, a vector of
-length (T-w+1)·B holding span (i, i+w-1) of batch row b at (i-1)·B + b.
-:func:`_fill_chart` is the one recursion: per width it gathers the left and
-the right children of every span at every split point from the diagonals
-filled so far, one index op each, and a semiring ``combine`` reduces their
-[w-1, (T-w+1)·B] sums:
+Everything downstream of the scores is an O(T^3) chart: one flat array per
+batch, width by width and start-major, so span (i, i+w-1) of row b sits at
+``start[w] + (i-1)·B + b``.  :func:`_widths` gives per width the positions
+of both children of every span at every split point, and each recursion
+fills a width from one gather of each:
 
-* :func:`inside`, the log partition function (log-sum-exp), which keeps the
-  split log-weights that :func:`sample_trees` draws exact samples from,
-* :func:`tree_entropy`, exact entropy (expectation semiring),
+* :func:`inside`, the log partition function (log-sum-exp), the exact
+  entropy (expectation semiring) and the split weights that
+  :func:`sample_trees` draws exact samples from; on a tape, log Z and the
+  entropy are the two outputs of one node whose vjp is a hand-written
+  reverse sweep, the outside algorithm (Eisner 2016) plus entropy terms,
 * :func:`viterbi`, the argmax tree (max).
 
 Trees are span arrays [n, T-1, 2] (see :mod:`urnng.treebank`); :func:`_walk`
@@ -87,18 +87,6 @@ class SpanScores:
         return cls(table.shape[0], Tensor(row[None, :], name="span_scores",
                                           requires_grad=requires_grad))
 
-    def diagonals(self) -> list[Tensor | None]:
-        """Scores by width: entry w is the start-major [(T-w+1)·B] diagonal."""
-        t, batch = self.length, self.batch
-        column = ad.reshape(ad.transpose(self.flat), (self.flat.data.size,))
-        out: list[Tensor | None] = [None]
-        for w in range(1, t + 1):
-            i = np.arange(1, t - w + 2)
-            idx = span_index(t, i, i + w - 1)
-            out.append(ad.take_rows(
-                column, (idx[:, None] * batch + np.arange(batch)).ravel()))
-        return out
-
 
 def flatten(scores: SpanScores, temperature: float) -> SpanScores:
     """Divide all scores by ``temperature`` (> 0), spreading the distribution."""
@@ -107,48 +95,35 @@ def flatten(scores: SpanScores, temperature: float) -> SpanScores:
     return SpanScores(scores.length, ad.scale(scores.flat, 1.0 / temperature))
 
 
-def _fill_chart(first: Tensor, length: int, batch: int, combine) -> Tensor:
-    """Fill widths 2..T from the width-1 diagonal; returns the width-T one.
+def _chart_order(length: int) -> np.ndarray:
+    """The columns of a score sheet in chart order: by width, then start."""
+    i, j = np.triu_indices(length)
+    return np.argsort(j - i, kind="stable")
 
-    ``combine(w, pairs)`` receives, for every width-w span at every split
-    point, the left child (entry s·B + b of width m for the span starting at
-    s, split after m words) plus the right one (entry (s+m)·B + b of width
-    w-m), shape [w-1, (T-w+1)·B], and returns the width-w diagonal.
-    """
-    diags = [first]
-    # start[m]: where width m begins in ``concat(diags)``, for m >= 1
+
+def _widths(length: int, batch: int, reverse: bool = False):
+    """Per width w = 2..T (T..2 if ``reverse``): w, its slice of the chart,
+    and the positions [2, w-1, (T-w+1)·B] of the children of its spans,
+    split after m words: entry s·B + b of width m, (s+m)·B + b of w-m."""
     start = np.cumsum([0, 0] + [(length - m + 1) * batch
-                                for m in range(1, length)])
-    for w in range(2, length + 1):
+                                for m in range(1, length + 1)])
+    for w in range(length, 1, -1) if reverse else range(2, length + 1):
         m = np.arange(1, w)[:, None]
         col = np.arange((length - w + 1) * batch)
-        chart = ad.concat(diags)
-        left, right = (
-            ad.reshape(ad.take_rows(chart, idx.ravel()), idx.shape)
-            for idx in (start[m] + col, start[w - m] + m * batch + col))
-        diags.append(combine(w, ad.add(left, right)))
-    return diags[-1]
+        yield w, slice(start[w], start[w + 1]), np.stack(
+            [start[m] + col, start[w - m] + m * batch + col])
 
 
 class Chart:
-    """Inside quantities for one batch of score tables.
+    """Inside quantities for one batch of score tables: ``log_z`` and
+    ``entropy``, shape [B], and per width w >= 2 the probabilities of the
+    split points of its spans, one row per span, [(T-w+1)·B, w-1]."""
 
-    ``split_log_weights[w]`` (w >= 2) holds the log-probabilities of the split
-    points of every width-w span, shape [w-1, (T-w+1)·B], on the tape.
-    """
-
-    def __init__(self, scores: SpanScores, log_z: Tensor,
-                 split_log_weights: list[Tensor | None]):
-        self.scores = scores
-        self.length = scores.length
-        self.batch = scores.batch
-        self.log_z = log_z
-        self.split_log_weights = split_log_weights
-        self._split_weights = [None, None]  # transposed: one row per span
-        for lw in split_log_weights[2:]:
-            p = np.exp(lw.data)
-            self._split_weights.append(
-                np.ascontiguousarray((p / p.sum(axis=0, keepdims=True)).T))
+    def __init__(self, scores: SpanScores, log_z: Tensor, entropy: Tensor,
+                 split_weights: list[np.ndarray | None]):
+        self.scores, self.log_z, self.entropy = scores, log_z, entropy
+        self.length, self.batch = scores.length, scores.batch
+        self._split_weights = split_weights
 
     def split_weights(self, i: int, j: int, b: int = 0) -> np.ndarray:
         """Probabilities over split points k = i..j-1 of span (i, j), row b."""
@@ -156,17 +131,47 @@ class Chart:
 
 
 def inside(scores: SpanScores) -> Chart:
-    """Log-space inside recursion; ``chart.log_z`` has shape [B]."""
-    diags = scores.diagonals()
-    split_lw: list[Tensor | None] = [None, None]
+    """Fill the chart with inside scores and entropies, width by width."""
+    t, batch = scores.length, scores.batch
+    order = _chart_order(t)
+    alpha = scores.flat.data[:, order].T.ravel()  # scores, then inside
+    h = np.zeros_like(alpha)
+    split_weights, kept = [None, None], [None, None]
+    for w, block, kids in _widths(t, batch):
+        pairs = alpha[kids[0]] + alpha[kids[1]]
+        top = pairs.max(axis=0)
+        lse = np.log(np.exp(pairs - top).sum(axis=0)) + top
+        lw = pairs - lse  # log-probabilities of the split points
+        alpha[block] += lse
+        p = np.exp(lw)
+        gain = h[kids[0]] + h[kids[1]] - lw
+        h[block] = (p * gain).sum(axis=0)
+        split_weights.append(
+            np.ascontiguousarray((p / p.sum(axis=0, keepdims=True)).T))
+        kept.append((p, gain))
 
-    def combine(w: int, pairs: Tensor) -> Tensor:
-        lse = ad.logsumexp(pairs, 0)
-        split_lw.append(ad.add_row(pairs, ad.scale(lse, -1.0)))
-        return ad.add(diags[w], lse)
+    def sweep(g):
+        # the outside pass, d pairs = p·d lse, once all wider spans have
+        # added into a width's d lse; the entropy adds d lw = p·(H_l + H_r
+        # - lw - 1)·dH to d pairs, and p·dH to each child's dH
+        (d_log_z, d_entropy), (d_alpha, d_h) = g, np.zeros((2, alpha.size))
+        d_alpha[-batch:] = 0.0 if d_log_z is None else d_log_z
+        d_h[-batch:] = 0.0 if d_entropy is None else d_entropy
+        for w, block, kids in _widths(t, batch, reverse=True):
+            (p, gain), below = kept[w], block.start
+            d_lw = p * (gain - 1.0) * d_h[block]
+            d_pairs = d_lw + p * (d_alpha[block] - d_lw.sum(axis=0))
+            d_h[:below] += np.bincount(kids.ravel(), np.broadcast_to(
+                p * d_h[block], kids.shape).ravel(), below)
+            d_alpha[:below] += np.bincount(kids.ravel(), np.broadcast_to(
+                d_pairs, kids.shape).ravel(), below)
+        grad = np.empty_like(scores.flat.data)
+        grad[:, order] = d_alpha.reshape(-1, batch).T  # a permutation
+        return (grad,)
 
-    log_z = _fill_chart(diags[1], scores.length, scores.batch, combine)
-    return Chart(scores, log_z, split_lw)
+    outputs = (alpha[-batch:].copy(), h[-batch:].copy())
+    return Chart(scores, *ad._emit("inside", outputs, (scores.flat,), sweep),
+                 split_weights)
 
 
 def _walk(t: int, n: int, choose) -> np.ndarray:
@@ -254,31 +259,25 @@ def tree_log_prob_batch(chart: Chart, trees, rows) -> Tensor:
 
     ``rows[r]`` names the chart batch row that scores tree r; the same row
     may appear many times (e.g. K samples per sentence).  Each log q sums
-    the row's scores in ``span_order``, masked by :func:`span_indicator`.
+    the row's scores of the tree's 2T-1 spans, gathered from the sheet.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    picks = span_indicator(trees, chart.length)
-    if len(picks) != rows.shape[0]:
-        raise ValueError(f"{len(picks)} trees vs {rows.shape[0]} rows")
-    scored = ad.sum_axis(ad.mul(ad.take_rows(chart.scores.flat, rows),
-                                Tensor(picks)), 1)
+    rows, t, flat = np.asarray(rows, np.int64), chart.length, chart.scores.flat
+    spans, words = span_array(trees, t), np.arange(1, t + 1)
+    if len(spans) != rows.shape[0]:
+        raise ValueError(f"{len(spans)} trees vs {rows.shape[0]} rows")
+    picks = np.concatenate([span_index(t, spans[..., 0], spans[..., 1]),
+                            np.broadcast_to(span_index(t, words, words),
+                                            (len(spans), t))], axis=1)
+    picks += rows[:, None] * flat.shape[1]
+    scored = ad.sum_axis(ad.reshape(ad.take_rows(
+        ad.reshape(flat, (flat.data.size,)), picks.ravel()), picks.shape), 1)
     return ad.sub(scored, ad.take_rows(chart.log_z, rows))
 
 
 def tree_entropy(chart: Chart) -> Tensor:
-    """Exact entropy of the tree distribution per batch row, shape [B].
-
-    Bottom-up recursion: the entropy of a span is the split-distribution
-    entropy plus the expected entropies of the chosen children.  The result
-    stays on the tape, so its gradient w.r.t. the scores is available.
-    """
-    lw = chart.split_log_weights
-
-    def combine(w: int, children: Tensor) -> Tensor:
-        return ad.sum_axis(ad.mul(ad.exp(lw[w]), ad.sub(children, lw[w])), 0)
-
-    zero = Tensor(np.zeros(chart.length * chart.batch))
-    return _fill_chart(zero, chart.length, chart.batch, combine)
+    """Exact entropy of the tree distribution per batch row, shape [B], as
+    :func:`inside` fills it; on a tape it is differentiable."""
+    return chart.entropy
 
 
 def viterbi(scores: SpanScores, b: int = 0) -> tuple[TreeRepr, float]:
@@ -288,19 +287,17 @@ def viterbi(scores: SpanScores, b: int = 0) -> tuple[TreeRepr, float]:
     an all-constant table yields the fully left-branching tree.
     """
     t = scores.length
-    diags = SpanScores(t, Tensor(scores.flat.data[[b]])).diagonals()
+    best = scores.flat.data[b, _chart_order(t)]
     split = np.zeros(len(span_order(t)), np.int64)  # best k per span
-
-    def combine(w: int, pairs: Tensor) -> Tensor:
+    for w, block, kids in _widths(t, 1):
+        pairs = best[kids[0]] + best[kids[1]]
         i = np.arange(1, t - w + 2)
         # argmax over the reversed split axis, so the largest split wins ties
         split[span_index(t, i, i + w - 1)] = (
-            i + w - 2 - np.argmax(pairs.data[::-1], axis=0))
-        return Tensor(diags[w].data + pairs.data.max(axis=0))
-
-    best = _fill_chart(diags[1], t, 1, combine)
+            i + w - 2 - np.argmax(pairs[::-1], axis=0))
+        best[block] += pairs.max(axis=0)
     spans = _walk(t, 1, lambda d, i, j: split[span_index(t, i, j)])
-    return TreeRepr.from_array(spans[0]), float(best.data[0])
+    return TreeRepr.from_array(spans[0]), float(best[-1])
 
 
 class InferenceNetwork:

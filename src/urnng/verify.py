@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .crf import (SpanScores, inside, sample_tree, tree_entropy,
-                  tree_log_prob, viterbi)
+from .autodiff import Tape
+from .crf import (SpanScores, inside, sample_tree, span_indicator,
+                  tree_entropy, tree_log_prob, viterbi)
 from .rnng import GenerativeModel
 from .treebank import count_trees
 
@@ -30,7 +31,7 @@ class PropertyResult:
 def _random_scores(rng: np.random.Generator, length: int) -> SpanScores:
     table = np.zeros((length, length))
     table[np.triu_indices(length)] = rng.normal(size=length * (length + 1) // 2)
-    return SpanScores.from_table(table)
+    return SpanScores.from_table(table, requires_grad=True)
 
 
 def _check_enumeration(rng, max_length, trials) -> PropertyResult:
@@ -90,6 +91,19 @@ def _check_sampler_scores(rng, max_length, trials) -> PropertyResult:
                           worst <= TOL, f"max gap {worst:.2e}")
 
 
+def _check_span_marginals(rng, max_length, trials) -> PropertyResult:
+    def gap(scores):  # the inside node's vjp, the outside sweep
+        with Tape() as tape:
+            log_z = inside(scores).log_z
+        trees, probs = oracle.exact_distribution(scores)
+        return np.abs(tape.backward(log_z)[scores.flat][0]
+                      - probs @ span_indicator(trees, scores.length)).max()
+
+    worst = max(gap(_random_scores(rng, t)) for t in range(1, max_length + 1))
+    return PropertyResult("log-partition gradient matches span marginals",
+                          worst <= TOL, f"max gap {worst:.2e}")
+
+
 def _model_gaps(rng, max_length, trials, gap, shortest=1) -> list[float]:
     """``gap(model, ids)`` for a quarter of ``trials`` random sentences."""
     model = GenerativeModel(12, dim=8, layers=1, dropout=0.0, rng=rng)
@@ -137,6 +151,7 @@ CHECKS = (
     _check_action_normalization,
     _check_marginal,
     _check_elbo_bound,
+    _check_span_marginals,
 )
 
 

@@ -13,7 +13,7 @@ import pytest
 import urnng.autodiff as ad
 from urnng import oracle
 from urnng.autodiff import Tape, Tensor, grad_check
-from urnng.crf import SpanScores, inside, sample_tree, tree_entropy, \
+from urnng.crf import SpanScores, inside, sample_trees, tree_entropy, \
     tree_log_prob_batch, viterbi
 from urnng.evaluate import iw_log_marginal, unlabeled_f1, viterbi_parses
 from urnng.rnng import GenerativeModel
@@ -70,28 +70,27 @@ def test_criterion_02_entropy_matches_enumeration():
 
 
 def test_criterion_03_sampler_total_variation():
+    # each count's draws are made in one sample_trees call, which gives the
+    # draws of as many sample_tree calls, one after another
+    def counts(chart, trees):
+        spans, which = sample_trees(chart, rng, np.zeros(n, np.int64))
+        index = {tree: i for i, tree in enumerate(trees)}
+        drawn = np.array([index[TreeRepr.from_array(s)] for s in spans])
+        return np.bincount(drawn[which], minlength=len(trees))
+
     rng = np.random.default_rng(33)
     n = 50_000
     worst_tv = 0.0
     for t in (5, 6):
         scores = random_scores(rng, t)
-        chart = inside(scores)
         trees, probs = oracle.exact_distribution(scores)
-        index = {tree: i for i, tree in enumerate(trees)}
-        counts = np.zeros(len(trees))
-        for _ in range(n):
-            tree, _ = sample_tree(chart, rng, 0)
-            counts[index[tree]] += 1
-        worst_tv = max(worst_tv, 0.5 * np.abs(counts / n - probs).sum())
+        freq = counts(inside(scores), trees) / n
+        worst_tv = max(worst_tv, 0.5 * np.abs(freq - probs).sum())
 
     chart = inside(SpanScores(5, Tensor(np.zeros((1, 15)))))
-    counts = np.zeros(count_trees(5))
     trees = oracle.enumerate_trees(5)
-    index = {tree: i for i, tree in enumerate(trees)}
-    for _ in range(n):
-        tree, _ = sample_tree(chart, rng, 0)
-        counts[index[tree]] += 1
-    uniform_gap = float(np.abs(counts / n - 1.0 / len(trees)).max())
+    uniform_gap = float(np.abs(counts(chart, trees) / n
+                               - 1.0 / len(trees)).max())
     report(3, worst_tv < 0.02 and uniform_gap < 0.01,
            f"sampling fidelity: TV {worst_tv:.4f} (T=5,6 at 5e4 draws), "
            f"uniform gap {uniform_gap:.4f}")

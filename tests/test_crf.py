@@ -56,6 +56,15 @@ def assert_same_draws(chart, rows, seed):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def draw_counts(chart, rng, n, trees):
+    """How often each of ``trees`` comes up in n draws from row 0, made in
+    one sample_trees call (the same draws as n sample_tree calls)."""
+    spans, which = sample_trees(chart, rng, np.zeros(n, np.int64))
+    index = {tree: i for i, tree in enumerate(trees)}
+    drawn = np.array([index[TreeRepr.from_array(s)] for s in spans])
+    return np.bincount(drawn[which], minlength=len(trees))
+
+
 def reference_span_scores(net, ids, rng=None):
     """The span scorer built position by position and span by span."""
     batch, t = ids.shape
@@ -188,25 +197,18 @@ class TestSampler:
         scores = random_scores(5, rng, scale=1.0)
         chart = inside(scores)
         trees, probs = oracle.exact_distribution(scores)
-        lookup = {tree: i for i, tree in enumerate(trees)}
-        counts = np.zeros(len(trees))
         n = 20000
-        for _ in range(n):
-            tree, _ = sample_tree(chart, rng)
-            counts[lookup[tree]] += 1
+        counts = draw_counts(chart, rng, n, trees)
         tv = 0.5 * np.abs(counts / n - probs).sum()
         assert tv < 0.03
 
     def test_uniform_at_zero_scores(self):
         rng = np.random.default_rng(6)
         chart = inside(zero_scores(4))
-        counts = {}
         n = 10000
-        for _ in range(n):
-            tree, _ = sample_tree(chart, rng)
-            counts[tree] = counts.get(tree, 0) + 1
-        assert len(counts) == 5
-        for c in counts.values():
+        counts = draw_counts(chart, rng, n, oracle.enumerate_trees(4))
+        assert len(counts) == 5 and counts.all()
+        for c in counts:
             assert abs(c / n - 0.2) < 0.02
 
     def test_reported_log_prob_matches_tree_log_prob(self):
@@ -302,6 +304,80 @@ class TestEntropy:
             lambda: ad.sum_all(tree_entropy(inside(SpanScores(t, flat)))),
             [flat])
         assert report.passed, report
+
+
+class TestInsideNode:
+    """inside and tree_entropy as one tape node, whose vjp is the outside
+    sweep with the expectation-semiring terms."""
+
+    def test_tape_nodes_do_not_grow_with_length(self):
+        counts = []
+        for t in (12, 48):
+            flat = Tensor(np.random.default_rng(t).standard_normal(
+                (3, len(span_order(t)))), requires_grad=True)
+            with Tape() as tape:
+                tree_entropy(inside(SpanScores(t, flat)))
+            counts.append(len(tape))
+        assert counts[0] == counts[1] <= 3
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 6])
+    @pytest.mark.parametrize("outputs", ["both", "log_z", "entropy"])
+    def test_grad_check_weighted_rows(self, t, outputs):
+        # one output alone hands the sweep a None cotangent for the other
+        rng = np.random.default_rng(30 + t)
+        flat = Tensor(rng.standard_normal((3, len(span_order(t)))),
+                      requires_grad=True, name="scores")
+        u, v = Tensor([0.7, -1.3, 2.1]), Tensor([-0.4, 1.6, 0.9])
+
+        def f():
+            chart = inside(SpanScores(t, flat))
+            parts = [ad.sum_all(ad.mul(x, weights)) for x, weights, name in
+                     ((chart.log_z, u, "log_z"),
+                      (tree_entropy(chart), v, "entropy"))
+                     if outputs in ("both", name)]
+            return parts[0] if len(parts) == 1 else ad.add(*parts)
+
+        report = grad_check(f, [flat])
+        assert report.passed, report
+
+    def test_second_backward_gives_the_same_gradient(self):
+        flat = Tensor(random_scores(7, np.random.default_rng(31),
+                                    batch=2).flat.data, requires_grad=True)
+        with Tape() as tape:
+            chart = inside(SpanScores(7, flat))
+            root = ad.sum_all(ad.add(chart.log_z, tree_entropy(chart)))
+        first = tape.backward(root)[flat]
+        np.testing.assert_array_equal(tape.backward(root)[flat], first)
+
+    def test_seeded_table_matches_recorded_values(self):
+        # recorded from the per-width Tensor chains this recursion replaced,
+        # which it matches to the bit; numpy's exp and log differ in the
+        # last bits across versions, hence the relative tolerance
+        t = 5
+        flat = np.random.default_rng(2027).standard_normal(
+            (2, len(span_order(t)))) * 2.0
+        chart = inside(SpanScores(t, Tensor(flat)))
+        close = pytest.approx
+        assert chart.log_z.data.tolist() == close(
+            [-1.7231510341122145, 7.587902874452761], rel=1e-13)
+        assert tree_entropy(chart).data.tolist() == close(
+            [1.681528673322792, 1.262656438518449], rel=1e-13)
+        recorded = {
+            (1, 5, 0): [0.30670570876995984, 0.5619685567484398,
+                        0.12908731702826215, 0.002238417453338292],
+            (2, 4, 0): [0.5600708521067619, 0.4399291478932382],
+            (1, 5, 1): [0.40626651133057956, 0.011375667139057624,
+                        0.12110888445072732, 0.4612489370796355],
+            (2, 4, 1): [0.006244284021479962, 0.9937557159785201]}
+        for (i, j, b), weights in recorded.items():
+            assert chart.split_weights(i, j, b).tolist() == close(
+                weights, rel=1e-13)
+        for b, spans, score in (
+                (0, {(1, 2), (1, 5), (3, 5), (4, 5)}, -2.5306585825370465),
+                (1, {(1, 4), (1, 5), (2, 3), (2, 4)}, 6.804257308908607)):
+            tree, got = viterbi(chart.scores, b)
+            assert {s for s in tree.spans if s[0] < s[1]} == spans
+            assert got == close(score, rel=1e-13)
 
 
 class TestLogZGradient:

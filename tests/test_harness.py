@@ -353,7 +353,7 @@ class TestCliContracts:
         assert cli.main(["verify", "--max-length", "4",
                          "--trials", "6"]) == 0
         out = capsys.readouterr().out
-        assert "all 8 properties passed" in out
+        assert "all 9 properties passed" in out
         assert "FAIL" not in out
 
     def test_synth_is_deterministic_across_processes(self, tmp_path):
