@@ -19,8 +19,8 @@ formed when the receiving node's vjp runs, or when ``backward`` returns for a
 leaf.  All other partials are summed densely as they arrive; a vjp that
 formed such a running sum itself hands it over whole, to be adopted.
 
-All operations check their outputs for NaN/Inf by default and raise
-:class:`NumericError` on violation; see :func:`set_check_finite`.
+All operations check their outputs for NaN/Inf and raise
+:class:`NumericError` on violation.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "NumericError",
     "GradCheckReport",
     "grad_check",
-    "set_check_finite",
     "add",
     "add_broadcast",
     "add_const",
@@ -83,17 +82,6 @@ class ShapeError(ValueError):
 
 class NumericError(RuntimeError):
     """A non-finite value appeared where the numeric contract forbids one."""
-
-
-_check_finite = True
-
-
-def set_check_finite(enabled: bool) -> bool:
-    """Toggle NaN/Inf checking on primitive outputs; returns previous value."""
-    global _check_finite
-    previous = _check_finite
-    _check_finite = bool(enabled)
-    return previous
 
 
 class Tensor:
@@ -298,10 +286,9 @@ def _emit(opname: str, out_data, inputs: tuple, vjp):
     # gets one gradient per output, None for an output that received none.
     many = type(out_data) is tuple
     arrays = out_data if many else (out_data,)
-    if _check_finite:
-        for a in arrays:
-            if not np.isfinite(a).all():
-                raise NumericError(f"{opname}: non-finite value in output")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NumericError(f"{opname}: non-finite value in output")
     tape = _tape_stack[-1] if _tape_stack else None
     taped = tape is not None and any(t.requires_grad for t in inputs)
     outs = tuple(Tensor(a, requires_grad=taped) for a in arrays)

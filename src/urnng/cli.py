@@ -261,6 +261,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     trainer, vocab = _load_trainer(args.checkpoint)
     if trainer.config.mode == "lm":
         raise DataError(f"{args.checkpoint}: lm checkpoints cannot generate "

@@ -2,12 +2,15 @@
 
 Everything here is a pure function over :class:`~urnng.autodiff.Tensor`
 values, except two pairs on plain arrays, which the stack model's reverse
-sweep calls too: the cell, :func:`cell` and :func:`cell_vjp`, and an LSTM
-layer over levels of a push table, :func:`lstm_levels` and
-:func:`lstm_levels_vjp`.  That layer runs every LSTM: the stack model's
-and the RNNLM's (a level per stack position, or per step while sampling)
-and, through the primitive :func:`lstm_layer`, each direction of the span
-scorer's BiLSTM (a level per position).  The tree cell calls :func:`cell`.
+sweep calls too: the cell, :func:`cell` and :func:`cell_vjp`, and the one
+level routine that runs it over a push table, :func:`lstm_levels` and
+:func:`lstm_levels_vjp`, where each push reads an optional input and k
+parent pushes.  That routine runs every cell: the stack model's tree cell
+(no input, the two children; a level per tree height), its and the
+RNNLM's LSTM layers (an input, the push beneath; a level per stack
+position, or per step while sampling) and, through the primitive
+:func:`lstm_layer`, each direction of the span scorer's BiLSTM (a level
+per position).
 """
 
 from __future__ import annotations
@@ -120,17 +123,21 @@ def cell_vjp(saved, w: np.ndarray, gh, gc):
                           for k in range(1, len(cells) + 1)]
 
 
-def lstm_levels(x: np.ndarray, below: np.ndarray, levels, w: np.ndarray,
-                b: np.ndarray, h: np.ndarray, c: np.ndarray,
+def lstm_levels(x: np.ndarray | None, parents: np.ndarray, levels,
+                w: np.ndarray, b: np.ndarray, h: np.ndarray, c: np.ndarray,
                 saved: list | None = None) -> None:
-    """Run one LSTM layer over pushes, a level of them at a time: push i
-    reads input row ``x[i]`` and the state of push ``below[i]``, which is in
-    an earlier level or is push 0, the zero state.  The [pushes, hidden]
-    state tables ``h`` and ``c`` are set in place; ``saved`` collects each
-    level's pushes and what :func:`cell_vjp` reads."""
+    """Run one cell over pushes, a level of them at a time: push i reads
+    input row ``x[i]``, if there is an ``x``, and the states of its k
+    parents ``parents[i]`` ([pushes, k]), each in an earlier level or push
+    0, the zero state.  An LSTM layer has an input and one parent, the push
+    beneath; the tree cell has no input and two, the children.  The
+    [pushes, hidden] state tables ``h`` and ``c`` are set in place;
+    ``saved`` collects each level's pushes and what :func:`cell_vjp` reads."""
     for at in levels:
-        under = below[at]
-        new_h, new_c, kept = cell([x[at], h[under]], w, b, (c[under],))
+        up = parents[at].T
+        new_h, new_c, kept = cell(([] if x is None else [x[at]])
+                                  + [h[p] for p in up], w, b,
+                                  tuple(c[p] for p in up))
         if not np.isfinite(new_h).all():
             raise ad.NumericError("LSTM layer: non-finite state")
         h[at], c[at] = new_h, new_c
@@ -141,24 +148,27 @@ def lstm_levels(x: np.ndarray, below: np.ndarray, levels, w: np.ndarray,
         del new_h, new_c, kept
 
 
-def lstm_levels_vjp(saved: list, below: np.ndarray, w: np.ndarray,
+def lstm_levels_vjp(saved: list, parents: np.ndarray, w: np.ndarray,
                     gh: np.ndarray, store: dict, key: int) -> np.ndarray:
     """The reverse sweep of :func:`lstm_levels` with weight ``w``, given the
     gradient ``gh`` of its h table, which it adds into: the gradient of its
-    x, with the partials of ``w`` and ``b`` summed into ``store`` at ``key``
-    and ``key + 1`` as the tape sums them.  It pops ``saved``."""
-    split = w.shape[0] - gh.shape[1]
+    x (no columns without one), with the partials of ``w`` and ``b`` summed
+    into ``store`` at ``key`` and ``key + 1`` as the tape sums them.  It
+    pops ``saved``."""
+    d = gh.shape[1]
+    split = w.shape[0] - parents.shape[1] * d
     gc, dx = np.zeros_like(gh), np.zeros((len(gh), split))
     while saved:
         at, kept = saved.pop()
-        dxh, dz, (dc,) = cell_vjp(kept, w, gh[at], gc[at])
+        dxh, dz, dcs = cell_vjp(kept, w, gh[at], gc[at])
         dx[at] = dxh[:, :split]
-        # pushes of one level may share the push beneath
-        np.add.at(gh, below[at], dxh[:, split:])
-        np.add.at(gc, below[at], dc)
+        # pushes of one level may share a parent
+        for k, (p, dc) in enumerate(zip(parents[at].T, dcs)):
+            np.add.at(gh, p, dxh[:, split + k * d:split + (k + 1) * d])
+            np.add.at(gc, p, dc)
         ad._accumulate(store, key, w.shape, ad._Factors(kept[0], None, dz))
         ad._accumulate(store, key + 1, w.shape[1:], dz.sum(axis=0))
-        del kept, dxh, dz, dc  # as in lstm_levels
+        del kept, dxh, dz, dcs  # as in lstm_levels
     return dx
 
 
@@ -167,7 +177,7 @@ def lstm_layer(x: Tensor, below: np.ndarray, levels, w: Tensor,
     """The h table of :func:`lstm_levels` over the rows of ``x``, as one
     primitive whose vjp, the reverse sweep, runs once."""
     h, c = np.zeros((2, x.shape[0], b.shape[0] // 4))
-    saved = []
+    saved, below = [], below[:, None]
     lstm_levels(x.data, below, levels, w.data, b.data, h, c, saved)
 
     def vjp(g):

@@ -23,14 +23,16 @@ push beneath it, its word or its two children, and its tree height.  A
 push's LSTM state depends only on the push beneath it and on its content,
 and a REDUCE's content only on its two children, so scoring runs level by
 level: the tree cell once per height, then each LSTM layer once per stack
-position (:func:`~urnng.nn.lstm_levels`), over all rows at once.  The
-samplers must read the top state before each draw, so each of their steps
-is one level.  Without a tape and without dropout, rows that have taken
-the same actions over the same words share each push, a node of the
-prefix trie.  Neither head feeds back into the stack, so the action head
-scores all steps in one pass and the word head all SHIFT and EOS contexts
-in one tied-softmax pass (untaped, in blocks of bounded size).  On a tape
-the contexts are one node, whose vjp sweeps the levels in reverse.
+position, over all rows at once.  Both cells run through one level routine,
+:func:`~urnng.nn.lstm_levels`, and the scorer and the samplers through one
+:meth:`_Stack.run`; the samplers must read the top state before each draw,
+so each of their steps is one level.  Without a tape and without dropout,
+rows that have taken the same actions over the same words share each push,
+a node of the prefix trie.  Neither head feeds back into the stack, so the
+action head scores all steps in one pass and the word head all SHIFT and
+EOS contexts in one tied-softmax pass (untaped, in blocks of bounded
+size).  On a tape the contexts are one node, whose vjp sweeps the levels
+in reverse.
 
 The RNNLM baseline is the same recurrence over SHIFTs alone, under its own
 LSTM weights and word bias: a level per position, with the dropout draws
@@ -72,9 +74,12 @@ class _Stack:
         self.depth, self.used, self.top = np.zeros((3, n), np.int64)
         self.pos, self.below, self.height = np.zeros((3, size), np.int64)
         self.word, self.kids = np.full(size, -1), np.zeros((size, 2), np.int64)
-        # a table per level, np.zeros: pages no push touches stay unmapped
-        self.h, self.c = ([np.zeros((size, model.dim))
+        # a table per level, np.empty: untouched pages stay unmapped and
+        # reused memory is not cleared; :meth:`run` writes all but row 0
+        self.h, self.c = ([np.empty((size, model.dim))
                            for _ in range(model.layers + 1)] for _ in "hc")
+        for table in self.h + self.c:
+            table[0] = 0.0
 
     def push(self, actions: np.ndarray, word_ids: np.ndarray | None) -> tuple:
         """Advance every row one action, reading ``word_ids[r]`` on SHIFT
@@ -109,32 +114,42 @@ class _Stack:
         self.stack[rows, self.depth] = self.top
         return new, child
 
-    def compose(self, at: np.ndarray, saved: list | None = None):
-        """Run the tree cell on REDUCE pushes ``at`` over their children
-        and set their content, which layer 0 checks is finite; ``saved``
-        collects what its vjp reads."""
-        layers = self.model.layers
-        h, c = self.h[layers], self.c[layers]
-        left, right = self.kids[at].T
-        w, b = self.inputs[1 + 2 * layers:]
-        h[at], c[at], kept = nn.cell([h[left], h[right]], w.data, b.data,
-                                     (c[left], c[right]))
-        if saved is not None:
-            saved.append((at, kept))
+    def run(self, pushes: np.ndarray, heights: list, depths: list,
+            keep: list | None = None, saved: list | None = None) -> None:
+        """Set the contents and states of ``pushes``: a SHIFT's content is
+        its word's embedding, a REDUCE's the tree cell's over the
+        ``heights`` levels, then each layer runs over the ``depths``
+        levels, all through :func:`~urnng.nn.lstm_levels`.  Given ``keep``
+        (scoring), each layer reads the table below under its pattern and
+        drops it, as nothing reads it again; ``saved`` collects, per layer
+        and then for the tree cell, what its sweep reads."""
+        layers, inputs = self.model.layers, self.inputs
+        saved = saved or [None] * (layers + 1)
+        word = self.word[pushes]
+        shifts, word = pushes[word >= 0], word[word >= 0]
+        self.h[layers][shifts] = inputs[0].data[word]
+        self.c[layers][shifts] = 0.0    # a word's content has no cell state
+        if heights:     # only a model with a tree cell has REDUCEs
+            w, b = inputs[1 + 2 * layers:]
+            nn.lstm_levels(None, self.kids, heights, w.data, b.data,
+                           self.h[layers], self.c[layers], saved[layers])
+        for layer in range(layers):
+            lower = layer - 1 if layer else layers  # layer 0 reads contents
+            x = self.h[lower]
+            if keep is not None:
+                x = ad.dropped(x[:self.count], keep[layer], self.model.dropout)
+                self.h[lower] = self.c[lower] = None
+            w, b = inputs[1 + 2 * layer:3 + 2 * layer]
+            nn.lstm_levels(x, self.below[:, None], depths, w.data, b.data,
+                           self.h[layer], self.c[layer], saved[layer])
 
     def step(self, actions: np.ndarray, word_ids: np.ndarray | None) -> tuple:
-        """:meth:`push`, then the cells of the new pushes as one level: the
-        samplers' step-major path, which reads each top state before the
-        next draw."""
+        """:meth:`push`, then :meth:`run` over the new pushes as one level:
+        the samplers' step-major path, which reads each top state before
+        the next draw."""
         new, child = self.push(actions, word_ids)
-        layers, word = self.model.layers, self.word[new]
-        self.h[layers][new[word >= 0]] = self.inputs[0].data[word[word >= 0]]
-        if (word < 0).any():
-            self.compose(new[word < 0])
-        for layer in range(layers):
-            w, b = self.inputs[1 + 2 * layer:3 + 2 * layer]
-            nn.lstm_levels(self.h[layer - 1 if layer else layers], self.below,
-                           [new], w.data, b.data, self.h[layer], self.c[layer])
+        reduce = new[self.word[new] < 0]
+        self.run(new, [reduce] if reduce.size else [], [new])
         return new, child
 
 
@@ -163,7 +178,7 @@ def _recurrence(model: "GenerativeModel", ids: np.ndarray,
     each row's top push before each step and whether that step is free,
     both [steps + 1, n]."""
     (n, steps), t_len = actions.shape, ids.shape[1]
-    layers, rate, dim = model.layers, model.dropout, model.dim
+    layers, rate = model.layers, model.dropout
     keep = _keep_patterns(model, n, steps, rng)
     inputs = model.stack_params()
     taped = bool(ad._tape_stack) and any(t.requires_grad for t in inputs)
@@ -176,25 +191,15 @@ def _recurrence(model: "GenerativeModel", ids: np.ndarray,
             stack.push(actions[:, t], ids[np.arange(n), stack.used % t_len])
 
     # contents one tree height at a time, then each layer one stack
-    # position at a time; ``saved`` holds what each layer's levels and the
-    # tree cell's heights keep for the sweep
-    size, below, kids = stack.count, stack.below, stack.kids
-    pos, word = stack.pos[:size], stack.word[:size]
+    # position at a time; ``saved`` holds what each level keeps for the sweep
+    size = stack.count
+    pos, height, word = (a[:size] for a in (stack.pos, stack.height,
+                                            stack.word))
     depths = [np.flatnonzero(pos == p) for p in range(1, pos.max() + 1)]
-    heights = [np.flatnonzero(stack.height[:size] == k)
-               for k in range(1, stack.height.max() + 1)]
-    shifts = np.flatnonzero(word >= 0)
-    saved = [[] if taped else None for _ in range(layers + 1)]
-    stack.h[layers][shifts] = inputs[0].data[word[shifts]]
-    for at in heights:
-        stack.compose(at, saved[layers])
-    for layer in range(layers):
-        lower = layer - 1 if layer else layers  # layer 0 reads contents
-        x = ad.dropped(stack.h[lower][:size], keep[layer], rate)
-        stack.h[lower] = stack.c[lower] = None  # nothing reads them now
-        w, b = inputs[1 + 2 * layer:3 + 2 * layer]
-        nn.lstm_levels(x, below, depths, w.data, b.data, stack.h[layer],
-                       stack.c[layer], saved[layer])
+    heights = [np.flatnonzero(height == k) for k in range(1, height.max() + 1)]
+    saved = [[] for _ in range(layers + 1)] if taped else None
+    stack.run(np.arange(size), heights, depths, keep, saved)
+    below, kids = stack.below[:, None], stack.kids
 
     def sweep(g):
         # the partials of ``inputs``; the levels are dropped as they are
@@ -209,16 +214,10 @@ def _recurrence(model: "GenerativeModel", ids: np.ndarray,
             gh = ad.dropped(nn.lstm_levels_vjp(levels[layer], below,
                                                inputs[i].data, gh, store, i),
                             keep[layer], rate)
-        gc, i = np.zeros_like(gh), 1 + 2 * layers
-        while trees:    # the tree cell, highest first
-            at, kept = trees.pop()
-            dx, dz, dcells = nn.cell_vjp(kept, inputs[i].data, gh[at], gc[at])
-            ad._accumulate(store, i, inputs[i].shape,
-                           ad._Factors(kept[0], None, dz))
-            ad._accumulate(store, i + 1, dz.shape[1:], dz.sum(axis=0))
-            for k, kid in enumerate(kids[at].T):    # left, then right
-                gh[kid] += dx[:, k * dim:(k + 1) * dim]
-                gc[kid] += dcells[k]
+        if trees:   # the tree cell, highest first
+            i = 1 + 2 * layers
+            nn.lstm_levels_vjp(trees, kids, inputs[i].data, gh, store, i)
+        shifts = np.flatnonzero(word >= 0)
         store[0] = ad._Factors(None, word[shifts], gh[shifts])
         return tuple(store.get(k) for k in range(len(inputs)))
 

@@ -467,6 +467,13 @@ class TestCliExitCodes:
         assert f"--samples must be >= 1, got {samples}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_generate_without_draws_is_data_error(self, workspace, capsys, n):
+        assert cli.main(["generate",
+                         "--checkpoint", str(workspace / "run" / "last.ckpt"),
+                         "--n", n]) == 2
+        assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+
     def test_verification_failure_exit_code(self, monkeypatch, capsys):
         from urnng.verify import PropertyResult
         monkeypatch.setattr(

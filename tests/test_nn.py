@@ -7,7 +7,8 @@ and the stack model's tree cell.  The unfused compositions build the same
 cells from single primitives; the fused forward must match them bit for
 bit, and the hand-written vjps must pass ``grad_check``.  ``nn.lstm_layer``
 runs every LSTM of the package, one level of pushes at a time, and must
-match the unfused cell run push by push.  ``nn.tied_word_log_prob`` is one
+match the unfused cell run push by push; ``nn.lstm_levels`` with no input
+and two parents per push is the tree cell, level by level.  ``nn.tied_word_log_prob`` is one
 primitive for the logits, log-softmax and pick, in blocks of at most
 ``nn.WORD_BLOCK`` logits.
 """
@@ -269,6 +270,65 @@ class TestLstmLayer:
         x.data[2, 0] = np.nan
         with pytest.raises(ad.NumericError, match="LSTM layer"):
             nn.lstm_layer(x, below, levels, w, b)
+
+
+# the tree cell as nn.lstm_levels with no input and two parents: pushes 1-5
+# are leaves with given states; REDUCE pushes 6-8 form the first level (6
+# and 7 share their left child, as trie-shared rows may), 9 the second and
+# 10 the third
+KIDS = np.array([[0, 0]] * 6 + [[1, 2], [1, 3], [4, 5], [6, 7], [9, 8]])
+TREE_LEVELS = [np.array([6, 7, 8]), np.array([9]), np.array([10])]
+
+
+def tree_level_inputs(seed, dim=3):
+    r = np.random.default_rng(seed)
+    h, c = np.zeros((2, len(KIDS), dim))
+    h[1:6], c[1:6] = r.standard_normal((2, 5, dim))
+    return (h, c, param(r, 2 * dim, 5 * dim, name="w"),
+            param(r, 5 * dim, name="b"))
+
+
+def unfused_tree_levels(h, c, w, b):
+    """Per push its (h, c) rows as Tensors, the unfused tree cell run once
+    per level over the leaves' rows ``h`` and ``c``."""
+    states = {i: (ad.narrow(h, 0, i, 1), ad.narrow(c, 0, i, 1))
+              for i in range(1, 6)}
+    for at in TREE_LEVELS:
+        left, right = ([ad.concat([states[p][k] for p in kid])
+                        for k in range(2)] for kid in KIDS[at].T)
+        new = unfused_tree_cell(left, right, w, b)
+        for row, push in enumerate(at):
+            states[push] = tuple(ad.narrow(s, 0, row, 1) for s in new)
+    return states
+
+
+class TestTreeLevels:
+    def test_matches_the_unfused_tree_cell_level_by_level(self):
+        h, c, w, b = tree_level_inputs(22)
+        states = unfused_tree_levels(Tensor(h.copy()), Tensor(c.copy()), w, b)
+        nn.lstm_levels(None, KIDS, TREE_LEVELS, w.data, b.data, h, c)
+        for push in range(6, len(KIDS)):
+            np.testing.assert_array_equal(h[push], states[push][0].data[0])
+            np.testing.assert_array_equal(c[push], states[push][1].data[0])
+
+    def test_sweep_matches_the_tape(self):
+        h, c, w, b = tree_level_inputs(23)
+        leaf_h = Tensor(h.copy(), requires_grad=True, name="leaf_h")
+        weights = np.random.default_rng(24).standard_normal(h.shape)
+        with Tape() as tape:
+            states = unfused_tree_levels(leaf_h, Tensor(c.copy()), w, b)
+            root = ad.sum_all(ad.mul(
+                ad.concat([states[i][0] for i in range(1, len(KIDS))]),
+                Tensor(weights[1:])))
+        want = tape.backward(root)
+        saved, store, gh = [], {}, weights.copy()
+        nn.lstm_levels(None, KIDS, TREE_LEVELS, w.data, b.data, h, c, saved)
+        dx = nn.lstm_levels_vjp(saved, KIDS, w.data, gh, store, 0)
+        assert dx.shape == (len(KIDS), 0) and not saved
+        for got, expected in ((ad._formed(store[0]), want[w]),
+                              (ad._formed(store[1]), want[b]),
+                              (gh[1:6], want[leaf_h][1:6])):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def unfused_word_head(x, emb, b, words):

@@ -724,7 +724,7 @@ class TestStackSweep:
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_nan_weight_raises(self, taped):
-        # a non-finite tree cell shows in layer 0's state
+        # a non-finite tree cell raises at its own level, before layer 0
         ids, acts = self.mixed_rows()
         for name in ("gen.lstm_w0", "gen.tree_w"):
             model = tiny_model(seed=67)
