@@ -50,6 +50,8 @@ __all__ = [
     "dropped",
     "exp",
     "layer_norm",
+    "layer_norm_array",
+    "layer_norm_vjp",
     "log",
     "log_softmax",
     "logsumexp",
@@ -567,26 +569,34 @@ def logsumexp(x: Tensor, axis: int = 0) -> Tensor:
                  lambda g: (weights * np.expand_dims(g, axis),))
 
 
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """(out, y, inv) of :func:`layer_norm` on plain arrays, where out =
+    y * gain + bias; :func:`layer_norm_vjp` reads y and inv."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    y = (x - mu) * inv
+    return y * gain + bias, y, inv
+
+
+def layer_norm_vjp(g: np.ndarray, y: np.ndarray, inv: np.ndarray,
+                   gain: np.ndarray):
+    """(dx, dgain, dbias) of :func:`layer_norm_array`, given d out."""
+    dy = g * gain
+    dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
+                - y * (dy * y).mean(axis=-1, keepdims=True))
+    axes = tuple(range(g.ndim - 1))
+    return dx, (g * y).sum(axis=axes), g.sum(axis=axes)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then affine."""
     d = x.shape[-1]
     _require(gain.shape == (d,) and bias.shape == (d,), "layer_norm",
              f"gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    y = (x.data - mu) * inv
-    gd = gain.data
-    out = y * gd[..., :] + bias.data
-
-    def vjp(g):
-        dy = g * gd
-        dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
-                    - y * (dy * y).mean(axis=-1, keepdims=True))
-        axes = tuple(range(g.ndim - 1))
-        return (dx, (g * y).sum(axis=axes), g.sum(axis=axes))
-
-    return _emit("layer_norm", out, (x, gain, bias), vjp)
+    out, y, inv = layer_norm_array(x.data, gain.data, bias.data)
+    return _emit("layer_norm", out, (x, gain, bias),
+                 lambda g: layer_norm_vjp(g, y, inv, gain.data))
 
 
 def dropout_pattern(shape, rate: float, rng: np.random.Generator | None):

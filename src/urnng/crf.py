@@ -25,9 +25,11 @@ builds them for both the sampler and Viterbi.
 
 :class:`InferenceNetwork` produces the scores from a bidirectional LSTM over
 the sentence, each direction one :func:`~urnng.nn.lstm_layer` node over a
-chain of pushes, and gathers the features of all spans from its outputs at
-once; the chart functions accept scores from any source, which is how the
-oracle cross-checks drive them with raw tables.
+chain of pushes.  A span's features are the difference of two fenceposts,
+and the MLP's first layer is linear, so it projects the T+1 fenceposts once;
+the rest of the MLP is one node over the differences of the projections.
+The chart functions accept scores from any source, which is how the oracle
+cross-checks drive them with raw tables.
 """
 
 from __future__ import annotations
@@ -356,9 +358,10 @@ class InferenceNetwork:
         directions' LSTM layers, each a chain with a level per position.
         Fencepost k = 0..T, after word k, is [f_{k+1} ; -b_k], row k·B + b,
         so the features [f_{j+1} - f_i ; b_{i-1} - b_j] of span (i, j) are
-        fencepost j minus fencepost i-1 (to the bit: negation is exact), and
-        the [n_spans·B, 2H] sheet, span-major in ``span_order``, is two
-        gathers and one difference.
+        fencepost j minus fencepost i-1.  Their first MLP layer is formed
+        as the difference of the fenceposts' projections by ``inf.mlp_w1``,
+        one [(T+1)·B, 2H] GEMM, which equals projecting the features up to
+        rounding; :func:`_span_head` does the rest.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2:
@@ -369,10 +372,6 @@ class InferenceNetwork:
                 f"sentence length {t} exceeds position table capacity "
                 f"{self.max_len}")
         p = self.params
-
-        def rows(pos: np.ndarray) -> np.ndarray:
-            return (pos[:, None] * batch + np.arange(batch)).ravel()
-
         # Inputs at padded positions 0..T+1: boundary, words, boundary, each
         # with its learned position embedding added.  Rows 0 and 1 of the
         # gathered table are the two boundaries, row 2 + (p-1)·B + b a word.
@@ -393,14 +392,46 @@ class InferenceNetwork:
         posts = ad.concat([ad.narrow(fwd, 0, 1 + batch, (t + 1) * batch),
                            ad.scale(ad.narrow(bwd, 0, 1, (t + 1) * batch),
                                     -1.0)], axis=1)
-        i, j = np.triu_indices(t)  # spans (i+1, j+1), in span_order
-        sheet = ad.sub(ad.take_rows(posts, rows(j + 1)),
-                       ad.take_rows(posts, rows(i)))
-        h = ad.relu(nn.linear(sheet, p["inf.mlp_w1"], p["inf.mlp_b1"]))
-        h = ad.layer_norm(h, p["inf.ln_gain"], p["inf.ln_bias"])
-        h = ad.dropout(h, self.dropout, rng)
-        # no output bias: it would add one constant to every span, which
-        # no tree distribution can see, so its gradient is exactly zero
-        out = ad.matmul(h, p["inf.mlp_w2"])  # [P*B, 1]
-        flat = ad.transpose(ad.reshape(out, (len(i), batch)))
-        return SpanScores(t, flat)
+        proj = ad.matmul(posts, p["inf.mlp_w1"])
+        return SpanScores(t, _span_head(proj, t, batch, p, self.dropout, rng))
+
+
+def _span_head(proj: Tensor, t: int, batch: int, p: dict, rate: float,
+               rng: np.random.Generator | None) -> Tensor:
+    """The [B, n_spans] scores from the fenceposts' projections ``proj``,
+    [(T+1)·B, M], as one primitive: proj[j] - proj[i-1] + b1 per span (i, j),
+    then relu, layer norm, dropout and ``inf.mlp_w2``, with the ops of the
+    unfused chain in its order."""
+    b1, gain, bias, w2 = (p["inf." + k] for k in
+                          ("mlp_b1", "ln_gain", "ln_bias", "mlp_w2"))
+    i, j = np.triu_indices(t)  # spans (i+1, j+1), in span_order
+    fence = proj.data.reshape(t + 1, batch, -1)
+    pre = (fence[j + 1] - fence[i]).reshape(len(i) * batch, -1) + b1.data
+    active = pre > 0  # where relu passes its input
+    normed, y, inv = ad.layer_norm_array(np.maximum(pre, 0.0, out=pre),
+                                         gain.data, bias.data)
+    pattern = ad.dropout_pattern(normed.shape, rate, rng)
+    # no output bias: it would add one constant to every span, which
+    # no tree distribution can see, so its gradient is exactly zero
+    out = ad.dropped(normed, pattern, rate) @ w2.data  # [P·B, 1]
+    starts = span_index(t, np.arange(1, t + 1), np.arange(1, t + 1))
+
+    def vjp(g):
+        g = g.T.reshape(-1, 1)  # span-major, as ``out``
+        dw2 = ad.dropped(y * gain.data + bias.data, pattern, rate).T @ g
+        dx, dgain, dbias = ad.layer_norm_vjp(
+            ad.dropped(g * w2.data.T, pattern, rate), y, inv, gain.data)
+        spans = (dx * active).reshape(len(i), -1)
+        # the spans starting after fencepost k are one run of rows: each
+        # adds into the fencepost it ends at, and their sum leaves k
+        dproj = np.zeros((t + 1, spans.shape[1]))
+        for k, at in enumerate(starts):
+            run = spans[at:at + t - k]
+            dproj[k + 1:] += run
+            dproj[k] -= run.sum(axis=0)
+        return (dproj.reshape(proj.shape),
+                spans.sum(axis=0).reshape(batch, -1).sum(axis=0),
+                dgain, dbias, dw2)
+
+    return ad._emit("span_head", out.reshape(len(i), batch).T,
+                    (proj, b1, gain, bias, w2), vjp)

@@ -36,10 +36,6 @@ def make_params(rng: np.random.Generator, shapes: dict,
             for name, shape in shapes.items()}
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add_row(ad.matmul(x, w), b)
-
-
 WORD_BLOCK = 1 << 20    # most logits one tied-softmax block forms
 
 
@@ -110,7 +106,8 @@ def cell(parts: list, w: np.ndarray, b: np.ndarray, cells: tuple):
 
 def cell_vjp(saved, w: np.ndarray, gh, gc):
     """(input gradient, dz, previous cell states' gradients) of :func:`cell`
-    with weight ``w``, given the gradients of h and c; None stands for 0."""
+    with weight ``w``, given the gradients of h and c; None stands for 0.
+    The k previous cell states' gradients are one [rows, k, hidden] array."""
     xcat, sig, g, tanh_c, cells = saved
     d = g.shape[1]
     gh, gc = (0.0 if grad is None else grad for grad in (gh, gc))
@@ -119,8 +116,7 @@ def cell_vjp(saved, w: np.ndarray, gh, gc):
                            gh * tanh_c], axis=1)
     dz = np.concatenate([dsig * sig * (1.0 - sig),
                          dc * sig[:, :d] * (1.0 - g * g)], axis=1)
-    return dz @ w.T, dz, [dc * sig[:, k * d:(k + 1) * d]
-                          for k in range(1, len(cells) + 1)]
+    return dz @ w.T, dz, sig[:, d:-d].reshape(len(g), -1, d) * dc[:, None]
 
 
 def lstm_levels(x: np.ndarray | None, parents: np.ndarray, levels,
@@ -139,7 +135,9 @@ def lstm_levels(x: np.ndarray | None, parents: np.ndarray, levels,
                                   + [h[p] for p in up], w, b,
                                   tuple(c[p] for p in up))
         if not np.isfinite(new_h).all():
-            raise ad.NumericError("LSTM layer: non-finite state")
+            raise ad.NumericError(
+                f"{'tree cell' if x is None else 'LSTM layer'}: "
+                "non-finite state")
         h[at], c[at] = new_h, new_c
         if saved is not None:
             saved.append((at, kept))
@@ -162,10 +160,13 @@ def lstm_levels_vjp(saved: list, parents: np.ndarray, w: np.ndarray,
         at, kept = saved.pop()
         dxh, dz, dcs = cell_vjp(kept, w, gh[at], gc[at])
         dx[at] = dxh[:, :split]
-        # pushes of one level may share a parent
-        for k, (p, dc) in enumerate(zip(parents[at].T, dcs)):
-            np.add.at(gh, p, dxh[:, split + k * d:split + (k + 1) * d])
-            np.add.at(gc, p, dc)
+        # pushes of one level may share a parent: sum each parent's
+        # gradients in push order, then add each sum once
+        up, which = np.unique(parents[at], return_inverse=True)
+        flat = (which.reshape(-1, 1) * d + np.arange(d)).ravel()
+        for table, part in ((gh, dxh[:, split:]), (gc, dcs)):
+            table[up] += np.bincount(flat, part.ravel(),
+                                     up.size * d).reshape(-1, d)
         ad._accumulate(store, key, w.shape, ad._Factors(kept[0], None, dz))
         ad._accumulate(store, key + 1, w.shape[1:], dz.sum(axis=0))
         del kept, dxh, dz, dcs  # as in lstm_levels

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import urnng.autodiff as ad
-from urnng import nn, oracle
+from urnng import crf, oracle
 from urnng.autodiff import NumericError, Tape, Tensor, grad_check
 from urnng.crf import (Chart, InferenceNetwork, SpanScores, flatten, inside,
                        sample_tree, sample_trees, span_index, span_indicator,
@@ -65,8 +65,15 @@ def draw_counts(chart, rng, n, trees):
     return np.bincount(drawn[which], minlength=len(trees))
 
 
-def reference_span_scores(net, ids, rng=None):
-    """The span scorer built position by position and span by span."""
+def reference_span_scores(net, ids, rng=None, project_first=True):
+    """The span scorer built position by position and span by span.
+
+    By default each fencepost [f_{k+1} ; -b_k] is projected by
+    ``inf.mlp_w1`` (one matmul over the stacked fenceposts) and a span's
+    pre-activation is the difference of two projections, as the scorer
+    forms it.  With ``project_first=False`` the span features are formed
+    first and projected after (concat, then matmul and bias), which equals it up
+    to rounding."""
     batch, t = ids.shape
     p = net.params
     inputs = []
@@ -87,15 +94,32 @@ def reference_span_scores(net, ids, rng=None):
             state = lstm_cell(inputs[pos], state, p[f"inf.{name}_w"],
                               p[f"inf.{name}_b"])
             out[pos] = state[0]
-    feats = [ad.concat([ad.sub(fwd[j + 1], fwd[i]),
-                        ad.sub(bwd[i - 1], bwd[j])], axis=1)
-             for (i, j) in span_order(t)]
-    h = ad.relu(nn.linear(ad.concat(feats, axis=0), p["inf.mlp_w1"],
-                          p["inf.mlp_b1"]))
+    if project_first:
+        proj = ad.matmul(ad.concat([
+            ad.concat([fwd[k + 1], ad.scale(bwd[k], -1.0)], axis=1)
+            for k in range(t + 1)]), p["inf.mlp_w1"])
+        fence = [ad.narrow(proj, 0, k * batch, batch) for k in range(t + 1)]
+        pre = ad.add_row(ad.concat([ad.sub(fence[j], fence[i - 1])
+                                    for (i, j) in span_order(t)]),
+                         p["inf.mlp_b1"])
+    else:
+        feats = [ad.concat([ad.sub(fwd[j + 1], fwd[i]),
+                            ad.sub(bwd[i - 1], bwd[j])], axis=1)
+                 for (i, j) in span_order(t)]
+        pre = ad.add_row(ad.matmul(ad.concat(feats, axis=0),
+                                   p["inf.mlp_w1"]), p["inf.mlp_b1"])
+    return unfused_span_head(pre, net, rng, batch).data
+
+
+def unfused_span_head(pre, net, rng, batch):
+    """relu, layer_norm, dropout and ``inf.mlp_w2`` as single primitives
+    over span-major pre-activations [n_spans·B, M]; scores [B, n_spans]."""
+    p = net.params
+    h = ad.relu(pre)
     h = ad.layer_norm(h, p["inf.ln_gain"], p["inf.ln_bias"])
     h = ad.dropout(h, net.dropout, rng)
     out = ad.matmul(h, p["inf.mlp_w2"])
-    return ad.transpose(ad.reshape(out, (len(feats), batch))).data
+    return ad.transpose(ad.reshape(out, (out.shape[0] // batch, batch)))
 
 
 class TestInside:
@@ -514,8 +538,21 @@ class TestInferenceNetwork:
         for p in [*net.parameters().values(), net.embedding]:
             assert np.all(np.isfinite(grads[p]))
 
+    def test_span_scores_match_projecting_the_span_features(self):
+        # projecting the fenceposts before the difference is distributivity:
+        # (f_j - f_i)·W1 = f_j·W1 - f_i·W1 up to rounding
+        net = self.tiny(max_len=20, dropout=0.3)
+        for t, batch in ((1, 2), (7, 3), (20, 2)):
+            ids = np.random.default_rng(t).integers(0, 12, (batch, t))
+            np.testing.assert_allclose(
+                net.span_scores(ids, np.random.default_rng(8)).flat.data,
+                reference_span_scores(net, ids, np.random.default_rng(8),
+                                      project_first=False),
+                rtol=1e-13, atol=0)
+
     def test_span_scorer_tape_nodes_do_not_grow_with_length(self):
-        # each BiLSTM direction is one node over all positions
+        # each BiLSTM direction is one node over all positions, and the
+        # span head is the fencepost projection and one fused node
         net = self.tiny(max_len=48, dropout=0.3)
         counts = []
         for t in (12, 48):
@@ -523,7 +560,7 @@ class TestInferenceNetwork:
             with Tape() as tape:
                 net.span_scores(ids, np.random.default_rng(0))
             counts.append(len(tape))
-        assert counts[0] == counts[1] <= 30
+        assert counts[0] == counts[1] <= 13
 
     def test_length_capacity_guard(self):
         net = self.tiny()
@@ -561,6 +598,98 @@ class TestInferenceNetwork:
 
         report = grad_check(f, params)
         assert report.passed, report
+
+
+class TestSpanHead:
+    """The span head, relu → layer norm → dropout → ``inf.mlp_w2`` over the
+    differences of projected fenceposts, is one node with a hand-written
+    vjp."""
+
+    def net(self, seed):
+        return InferenceNetwork(vocab_size=6, word_dim=3, hidden_dim=2,
+                                mlp_hidden=4, max_len=6, dropout=0.5,
+                                rng=np.random.default_rng(seed))
+
+    def chains(self, seed, t, batch):
+        """The fused node and the unfused chain on one pre-activation:
+        per side (scores, generator, tape, proj)."""
+        net = self.net(seed)
+        rng = np.random.default_rng(seed)
+        proj_data = rng.standard_normal(((t + 1) * batch, 4))
+        i, j = np.triu_indices(t)
+
+        def rows(proj, k):
+            return ad.take_rows(proj, (k[:, None] * batch
+                                       + np.arange(batch)).ravel())
+
+        sides = []
+        for fused in (True, False):
+            proj = Tensor(proj_data, requires_grad=True)
+            gen = np.random.default_rng(99)
+            with Tape() as tape:
+                if fused:
+                    scores = crf._span_head(proj, t, batch, net.params,
+                                            net.dropout, gen)
+                else:
+                    pre = ad.add_row(ad.sub(rows(proj, j + 1), rows(proj, i)),
+                                     net.params["inf.mlp_b1"])
+                    scores = unfused_span_head(pre, net, gen, batch)
+            sides.append((scores, gen, tape, proj))
+        return net, sides
+
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_fused_matches_the_unfused_chain(self, t, batch):
+        net, ((got, got_rng, got_tape, got_proj),
+              (want, want_rng, want_tape, want_proj)) = self.chains(
+                  40 + t, t, batch)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        weights = Tensor(np.random.default_rng(t).standard_normal(
+            got.shape))
+        grads = []
+        for scores, tape, proj in ((got, got_tape, got_proj),
+                                   (want, want_tape, want_proj)):
+            with tape:
+                root = ad.sum_all(ad.mul(scores, weights))
+            g = tape.backward(root)
+            grads.append([g[proj]] + [g[net.params[f"inf.{k}"]] for k in
+                                      ("mlp_b1", "ln_gain", "ln_bias",
+                                       "mlp_w2")])
+        # summation order differs: the fenceposts' sums and mlp_b1's
+        for a, b in zip(*grads):
+            np.testing.assert_allclose(a, b, rtol=0,
+                                       atol=1e-14 * np.abs(b).max())
+
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_grad_check_through_projection_and_head(self, t, batch):
+        net = self.net(50 + t)
+        ids = np.random.default_rng(t).integers(0, 6, (batch, t))
+        weights = Tensor(np.random.default_rng(60 + t).standard_normal(
+            (batch, t * (t + 1) // 2)))
+        params = [net.params[f"inf.{k}"] for k in
+                  ("mlp_w1", "mlp_b1", "ln_gain", "ln_bias", "mlp_w2",
+                   "fwd_b", "bwd_b")]
+
+        def f():
+            scores = net.span_scores(ids, np.random.default_rng(7))
+            return ad.sum_all(ad.mul(scores.flat, weights))
+
+        report = grad_check(f, params)
+        assert report.passed, report
+
+    def test_second_backward_gives_the_same_gradient(self):
+        # the node frees nothing it reads (the BiLSTM below it does)
+        net, ((scores, _, tape, proj), _) = self.chains(70, 5, 2)
+        with tape:
+            root = ad.sum_all(scores)
+        first = tape.backward(root)
+        second = tape.backward(root)
+        for p in [proj, *net.parameters().values()]:
+            if p in first:
+                np.testing.assert_array_equal(second[p], first[p])
+        assert proj in first and net.params["inf.mlp_w2"] in first
 
 
 def test_span_order_is_lexicographic():

@@ -24,7 +24,7 @@ from urnng.autodiff import Tape, Tensor, grad_check
 def unfused_lstm_cell(x, state, w, b):
     h_prev, c_prev = state
     hidden = h_prev.shape[-1]
-    z = nn.linear(ad.concat([x, h_prev], axis=1), w, b)
+    z = ad.add_row(ad.matmul(ad.concat([x, h_prev], axis=1), w), b)
     i = ad.sigmoid(ad.narrow(z, 1, 0, hidden))
     f = ad.sigmoid(ad.narrow(z, 1, hidden, hidden))
     o = ad.sigmoid(ad.narrow(z, 1, 2 * hidden, hidden))
@@ -38,7 +38,7 @@ def unfused_tree_cell(left, right, w, b):
     hl, cl = left
     hr, cr = right
     dim = hl.shape[-1]
-    z = nn.linear(ad.concat([hl, hr], axis=1), w, b)
+    z = ad.add_row(ad.matmul(ad.concat([hl, hr], axis=1), w), b)
     i = ad.sigmoid(ad.narrow(z, 1, 0, dim))
     fl = ad.sigmoid(ad.narrow(z, 1, dim, dim))
     fr = ad.sigmoid(ad.narrow(z, 1, 2 * dim, dim))
@@ -58,8 +58,8 @@ def lstm_cell(x, state, w, b):
                           (c_prev.data,))
 
     def vjp(grads):
-        dx, dz, (dc,) = nn.cell_vjp(saved, w.data, *grads)
-        return (dx[:, :split], dx[:, split:], dc, saved[0].T @ dz,
+        dx, dz, dcs = nn.cell_vjp(saved, w.data, *grads)
+        return (dx[:, :split], dx[:, split:], dcs[:, 0], saved[0].T @ dz,
                 dz.sum(axis=0))
 
     return ad._emit("lstm_cell", (h, c), (x, h_prev, c_prev, w, b), vjp)
@@ -75,9 +75,9 @@ def tree_cell(left, right, w, b):
                           (cl.data, cr.data))
 
     def vjp(grads):
-        dx, dz, (dcl, dcr) = nn.cell_vjp(saved, w.data, *grads)
-        return (dx[:, :dim], dcl, dx[:, dim:], dcr, saved[0].T @ dz,
-                dz.sum(axis=0))
+        dx, dz, dcs = nn.cell_vjp(saved, w.data, *grads)
+        return (dx[:, :dim], dcs[:, 0], dx[:, dim:], dcs[:, 1],
+                saved[0].T @ dz, dz.sum(axis=0))
 
     return ad._emit("tree_cell", (h, c), (hl, cl, hr, cr, w, b), vjp)
 
@@ -332,7 +332,7 @@ class TestTreeLevels:
 
 
 def unfused_word_head(x, emb, b, words):
-    logits = nn.linear(x, ad.transpose(emb), b)
+    logits = ad.add_row(ad.matmul(x, ad.transpose(emb)), b)
     return ad.pick_per_row(ad.log_softmax(logits, axis=1), words)
 
 

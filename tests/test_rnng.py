@@ -726,10 +726,12 @@ class TestStackSweep:
     def test_nan_weight_raises(self, taped):
         # a non-finite tree cell raises at its own level, before layer 0
         ids, acts = self.mixed_rows()
-        for name in ("gen.lstm_w0", "gen.tree_w"):
+        for name, cell in (("gen.lstm_w0", "LSTM layer"),
+                           ("gen.tree_w", "tree cell")):
             model = tiny_model(seed=67)
             model.params[name].data[0, 0] = np.nan
-            with pytest.raises(ad.NumericError):
+            with pytest.raises(ad.NumericError,
+                               match=f"^{cell}: non-finite state"):
                 if taped:
                     with Tape():
                         model.joint_log_likelihood_batch(
