@@ -26,7 +26,8 @@ level: the tree cell once per height, then each LSTM layer once per stack
 position, over all rows at once.  Both cells run through one level routine,
 :func:`~urnng.nn.lstm_levels`, and the scorer and the samplers through one
 :meth:`_Stack.run`; the samplers must read the top state before each draw,
-so each of their steps is one level.  Without a tape and without dropout,
+so each of their steps is one level, and their tables keep only the live
+pushes, those on some row's stack.  Without a tape and without dropout,
 rows that have taken the same actions over the same words share each push,
 a node of the prefix trie.  Neither head feeds back into the stack, so the
 action head scores all steps in one pass and the word head all SHIFT and
@@ -62,14 +63,15 @@ class _Stack:
     table ``layers`` its content.  ``top[r]`` is row r's top push.  If
     ``shared``, pushes are prefix-trie nodes: a step maps each distinct
     (top, action, word on SHIFT) to one push; else push 1 + t * n + r is
-    row r's at step t.
+    row r's at step t.  The tables hold ``size`` pushes: the scorer's all
+    n * steps + 1, as it reads every push; the samplers' fewer, as
+    :meth:`compact` keeps only the live ones, those on some row's stack.
     """
 
     def __init__(self, model: "GenerativeModel", n: int, steps: int,
-                 shared: bool):
+                 shared: bool, size: int):
         self.model, self.shared, self.count = model, shared, 1
         self.inputs = model.stack_params()
-        size = steps * n + 1
         self.stack = np.zeros((n, steps + 3), np.int64)  # pushes by position
         self.depth, self.used, self.top = np.zeros((3, n), np.int64)
         self.pos, self.below, self.height = np.zeros((3, size), np.int64)
@@ -100,6 +102,8 @@ class _Stack:
             _, first, child = np.unique(key, return_index=True,
                                         return_inverse=True)
             child = child.ravel()
+        if self.count + first.size > len(self.pos):
+            self.compact(first.size)
         new = self.count + np.arange(first.size)
         self.count += first.size
         self.depth += np.where(shift, 1, -1)
@@ -113,6 +117,29 @@ class _Stack:
         self.top = new[child]
         self.stack[rows, self.depth] = self.top
         return new, child
+
+    def compact(self, new: int) -> None:
+        """Move the live pushes to the front of the tables in place, in
+        order, so each step's keys sort as before; grow the tables only if
+        they and ``new`` pushes would fill more than half.  A live push's
+        ``below`` is live; ``kids`` are read only in the step setting them."""
+        on = np.arange(self.stack.shape[1]) <= self.depth[:, None]
+        alive = np.bincount(self.stack[on], minlength=self.count) > 0
+        live, number = np.flatnonzero(alive), np.cumsum(alive) - 1
+        self.count, size = live.size, len(self.pos)
+        if 2 * (live.size + new) > size:
+            size = 2 * max(size, live.size + new)
+
+        def move(table):
+            out = table if size == len(table) else np.empty(
+                (size, *table.shape[1:]), table.dtype)
+            out[:live.size] = table[live]
+            return out
+        self.pos, self.below, self.height, self.word, self.kids = map(
+            move, (self.pos, self.below, self.height, self.word, self.kids))
+        self.h, self.c = (list(map(move, t)) for t in (self.h, self.c))
+        self.below[:live.size] = number[self.below[:live.size]]
+        self.stack, self.top = number[self.stack], number[self.top]
 
     def run(self, pushes: np.ndarray, heights: list, depths: list,
             keep: list | None = None, saved: list | None = None) -> None:
@@ -182,7 +209,8 @@ def _recurrence(model: "GenerativeModel", ids: np.ndarray,
     keep = _keep_patterns(model, n, steps, rng)
     inputs = model.stack_params()
     taped = bool(ad._tape_stack) and any(t.requires_grad for t in inputs)
-    stack = _Stack(model, n, steps, keep[0] is None and not taped)
+    stack = _Stack(model, n, steps, keep[0] is None and not taped,
+                   n * steps + 1)
     tops, free = [], []
     for t in range(steps + 1):
         tops.append(stack.top)
@@ -372,9 +400,11 @@ class GenerativeModel(_TiedLM):
         """
         ids = np.asarray(ids, dtype=np.int64)
         t_len = ids.shape[0]
+        if t_len == 0:
+            raise ValueError("cannot sample actions for an empty sentence")
         steps = 2 * t_len - 1
         p = self.params
-        stack = _Stack(self, k, steps, shared=True)
+        stack = _Stack(self, k, steps, True, 4 * k + 1)
         new, child = np.zeros(1, np.int64), np.zeros(k, np.int64)
         actions = np.zeros((k, steps), dtype=np.int64)
         logprob = np.zeros(k)
@@ -408,7 +438,7 @@ class GenerativeModel(_TiedLM):
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         p = self.params
-        stack = _Stack(self, 1, 2 * max_len, shared=True)
+        stack = _Stack(self, 1, 2 * max_len, True, 5)
         ids: list[int] = []
         actions: list[int] = []
         total = 0.0

@@ -5,6 +5,8 @@ reimplementation (explicit python stack, plain numpy), against enumeration
 for normalization, and for its forcing/EOS conventions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ import urnng.autodiff as ad
 from urnng import nn, oracle, rnng
 from urnng.autodiff import Tape, grad_check
 from urnng.rnng import RNNLM, GenerativeModel
+from urnng.trainer import TrainConfig
 from urnng.treebank import (REDUCE, SHIFT, left_branching, random_tree,
                             right_branching)
 
@@ -231,6 +234,15 @@ class TestConditionalActionSampler:
             counts[keys[tuple(row)]] += 1
         tv = 0.5 * np.abs(counts / 8000 - exact).sum()
         assert tv < 0.03
+
+    def test_empty_sentence_raises_and_zero_samples_are_empty(self):
+        model = tiny_model(seed=20)
+        with pytest.raises(ValueError, match="empty sentence"):
+            model.sample_actions_conditional(np.array([], dtype=np.int64), 5,
+                                             np.random.default_rng(21))
+        actions, logprob = model.sample_actions_conditional(
+            np.array([2, 3, 4]), 0, np.random.default_rng(21))
+        assert actions.shape == (0, 5) and logprob.shape == (0,)
 
 
 class TestGenerate:
@@ -648,6 +660,86 @@ class TestPrefixSharing:
             for term, act in (untaped, taped):
                 assert term.data[row] == pytest.approx(want[0], abs=1e-10)
                 assert act.data[row] == pytest.approx(want[1], abs=1e-10)
+
+
+class TestLivePushes:
+    """The samplers' stack tables keep only the pushes on some row's stack,
+    renumbered in order whenever a step's pushes would not fit, so the
+    draws must not depend on when that happens."""
+
+    @staticmethod
+    def run(monkeypatch, roomy, draw):
+        # ``draw()`` with the samplers' tables, or with room for every push
+        # (``roomy``); returns its result and how often the tables compacted
+        init, compact, calls = rnng._Stack.__init__, rnng._Stack.compact, []
+
+        def sized(self, model, n, steps, shared, size):
+            init(self, model, n, steps, shared,
+                 n * steps + 1 if roomy else size)
+
+        def counted(self, new):
+            calls.append(new)
+            compact(self, new)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rnng._Stack, "__init__", sized)
+            patch.setattr(rnng._Stack, "compact", counted)
+            return draw(), len(calls)
+
+    @pytest.mark.parametrize("dim, vocab, t, k, compacts", [
+        (64, 47, 12, 1000, True), (64, 47, 3, 1000, False),
+        (16, 50, 20, 700, True), (64, 1000, 40, 1000, True),
+        (650, 300, 10, 300, True), (5, 8, 1, 1, False), (5, 8, 9, 1, True)])
+    def test_compacting_sampler_matches_roomy_one(self, monkeypatch, dim,
+                                                  vocab, t, k, compacts):
+        model = GenerativeModel(vocab, dim=dim, rng=np.random.default_rng(t))
+        ids = np.random.default_rng(dim).integers(2, vocab, t)
+
+        def draw():
+            rng = np.random.default_rng(k)
+            actions, logprob = model.sample_actions_conditional(ids, k, rng)
+            return actions, logprob, rng.bit_generator.state
+
+        (actions, logprob, state), compactions = self.run(monkeypatch, False,
+                                                          draw)
+        want, none = self.run(monkeypatch, True, draw)
+        assert (none, compactions > 0) == (0, compacts)
+        np.testing.assert_array_equal(actions, want[0])
+        np.testing.assert_array_equal(logprob, want[1])
+        assert state == want[2]
+
+    def test_compacting_generator_matches_roomy_one(self, monkeypatch):
+        model = tiny_model(seed=60, vocab=20, dim=8)
+        model.params["gen.word_b"].data[model.eos_id] -= 4.0  # long samples
+
+        def draw():
+            rng = np.random.default_rng(61)
+            out = [model.generate(rng, max_len=60) for _ in range(8)]
+            return [(o.ids, o.actions, o.log_likelihood, o.truncated,
+                     o.eos_at_root) for o in out], rng.bit_generator.state
+
+        got, compactions = self.run(monkeypatch, False, draw)
+        want, none = self.run(monkeypatch, True, draw)
+        assert got == want and none == 0 and compactions > 0
+        lengths = [len(ids) for ids, *_ in got[0]]
+        assert max(lengths) == 60 and min(lengths) < 60
+
+    def test_longest_sentence_sampler_within_memory_budget(self):
+        # desk dims at the longest length the config accepts, K=300: tables
+        # for all 300 * 299 pushes are about 270 MB traced, while at most
+        # about 5000 pushes are live at once
+        t = TrainConfig().max_len
+        model = GenerativeModel(47, dim=64, rng=np.random.default_rng(62))
+        ids = np.random.default_rng(63).integers(2, 47, t)
+        tracemalloc.start()
+        try:
+            actions, _ = model.sample_actions_conditional(
+                ids, 300, np.random.default_rng(64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert actions.shape == (300, 2 * t - 1)
+        assert peak < 100 * 2**20, peak / 2**20
 
 
 def tree_height(actions):
