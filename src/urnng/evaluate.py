@@ -1,5 +1,6 @@
 """Measurement: importance-weighted perplexity, bracketing scores, and
-posterior diagnostics.
+posterior diagnostics, in one pass per sentence that scores its spans once
+and the distinct trees of both of its proposals together once.
 
 Bracket scoring mirrors the standard evalb conventions: punctuation tokens
 are removed and positions re-indexed, and width-one and whole-sentence spans
@@ -20,7 +21,6 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import NumericError
-from .checkpoint import atomic_write_text
 from .crf import (InferenceNetwork, flatten, inside, sample_trees,
                   tree_entropy, tree_log_prob_batch, viterbi)
 from .rnng import GenerativeModel
@@ -45,15 +45,14 @@ def iw_log_marginal(model: GenerativeModel, inference: InferenceNetwork,
     Duplicate samples are scored once and weighted by their multiplicity,
     which leaves the estimate unchanged.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     rng = rng if rng is not None else np.random.default_rng(0)
     ids = np.asarray(ids, dtype=np.int64)
     chart = inside(flatten(inference.span_scores(ids[None]), temperature))
-    terminal, action, which, log_qs = _sampled_joints(model, ids, chart,
-                                                      rng, k)
+    return _log_marginal(*_sampled_joints(model, ids, chart, rng, k), k)
+
+
+def _log_marginal(terminal, action, which, log_qs, k: int) -> float:
+    """:func:`iw_log_marginal` of k draws from the distinct trees scored."""
     if not np.all(np.isfinite(log_qs)):
         raise NumericError("proposal assigned a sampled tree -inf log q")
     log_counts = [math.log(count) for count in np.bincount(which)]
@@ -65,25 +64,66 @@ def iw_log_marginal(model: GenerativeModel, inference: InferenceNetwork,
 def _sampled_joints(model: GenerativeModel, ids: np.ndarray, chart,
                     rng: np.random.Generator, k: int):
     """Draw k trees from row 0 of ``chart`` and score each distinct tree
-    once, in eval mode and 256 rows at a time, sorted by their actions so
-    that trees with a common prefix share its stack states.
+    once: their terminal and action log-likelihoods and log q (in order of
+    first draw), and which of them each draw is."""
+    return _joints(model, ids, [(chart, rng)], k)[0]
 
-    Returns the distinct trees' terminal and action log-likelihoods and log q
-    (in order of first draw), and which of them each draw is.
-    """
-    spans, which = sample_trees(chart, rng, np.zeros(k, dtype=np.int64))
-    log_qs = tree_log_prob_batch(chart, spans, np.zeros(len(spans),
-                                                         np.int64)).data
-    acts = tree_actions(spans, chart.length)
-    order = np.lexsort(acts.T[::-1])
-    terminal, action = np.empty(len(acts)), np.empty(len(acts))
-    for lo in range(0, len(acts), 256):
-        chunk = order[lo:lo + 256]
-        term_t, act_t = model.joint_log_likelihood_batch(
-            np.tile(ids[None], (len(chunk), 1)), acts[chunk])
-        terminal[chunk] = term_t.data
-        action[chunk] = act_t.data
-    return terminal, action, which, log_qs
+
+def _joints(model: GenerativeModel, ids: np.ndarray, proposals: list,
+            k: int) -> list:
+    """:func:`_sampled_joints` of each (chart, generator) in ``proposals``,
+    scoring the distinct trees of all of them once, in eval mode, 256 rows
+    at a time and sorted, so that trees with a common prefix share states."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    draws = [sample_trees(chart, rng, [0] * k) for chart, rng in proposals]
+    acts = [tree_actions(spans, ids.size) for spans, _ in draws]
+    rows, back = np.unique(np.vstack(acts), axis=0, return_inverse=True)
+    joint = [model.joint_log_likelihood_batch(np.tile(ids, (len(c), 1)), c)
+             for c in np.split(rows, range(256, len(rows), 256))]
+    terminal, action = np.hstack([[t.data for t in pair] for pair in joint])
+    # ravelled, as the inverse's shape differs across NumPy versions
+    back = np.split(back.ravel(), np.cumsum([len(a) for a in acts])[:-1])
+    return [(terminal[at], action[at], which,
+             tree_log_prob_batch(chart, spans, [0] * len(spans)).data)
+            for at, (spans, which), (chart, _) in zip(back, draws, proposals)]
+
+
+def _corpus(sentences: list[Sentence], model: GenerativeModel,
+            inference: InferenceNetwork, k: int, temperature: float,
+            seed: int, iw: bool = True, diagnostics: bool = True) -> tuple:
+    """(perplexity, log marginals, :func:`distributional_metrics`), or None
+    for a part not asked for, in one pass; sentence i draws with generators
+    (seed, 9000 + i) for IW and (seed, 7000 + i) for the diagnostics."""
+    if not sentences:
+        raise DataError("empty corpus")
+    halves = [(9000, temperature)] * iw + [(7000, 1.0)] * diagnostics
+    log_marginals, sums = [], np.zeros(5)
+    for i, sentence in enumerate(sentences):
+        ids = np.asarray(sentence.ids, dtype=np.int64)
+        scores = inference.span_scores(ids[None])
+        proposals = [(inside(flatten(scores, t)),
+                      np.random.default_rng((seed, at + i))) for at, t in halves]
+        joints = _joints(model, ids, proposals, k)
+        if iw:
+            log_marginals.append(_log_marginal(*joints[0], k))
+        if diagnostics:
+            # the means run over all k draws, the sums in sentence order
+            chart, rng = proposals[-1]
+            terminal, action, which, log_qs = joints[-1]
+            _, prior_lp = model.sample_actions_conditional(ids, k, rng)
+            sums += (terminal[which].mean(),
+                     (log_qs[which] - action[which]).mean(),
+                     tree_entropy(chart).data[0], -prior_lp.mean(),
+                     math.log(count_trees(len(ids))))
+    tokens, n = sum(len(s.ids) for s in sentences), len(sentences)
+    recon, kl, post, prior, uniform = map(float, sums)
+    dist = {"reconstruction_perplexity": float(np.exp(-recon / tokens)),
+            "kl": kl / n, "posterior_entropy": post / n,
+            "prior_entropy": prior / n, "uniform_entropy": uniform / n}
+    log_marginals = np.array(log_marginals)
+    return (float(np.exp(-log_marginals.sum() / tokens)) if iw else None,
+            log_marginals if iw else None, dist if diagnostics else None)
 
 
 def iw_perplexity(sentences: list[Sentence], model: GenerativeModel,
@@ -91,16 +131,8 @@ def iw_perplexity(sentences: list[Sentence], model: GenerativeModel,
                   temperature: float = DEFAULT_TEMPERATURE,
                   seed: int = 0) -> tuple[float, np.ndarray]:
     """Corpus perplexity and the per-sentence log-marginal estimates."""
-    if not sentences:
-        raise DataError("empty corpus")
-    log_marginals = np.empty(len(sentences))
-    tokens = 0
-    for i, sentence in enumerate(sentences):
-        rng = np.random.default_rng((seed, 9000 + i))
-        log_marginals[i] = iw_log_marginal(
-            model, inference, sentence.ids, k, temperature, rng)
-        tokens += len(sentence.ids)
-    return float(np.exp(-log_marginals.sum() / tokens)), log_marginals
+    return _corpus(sentences, model, inference, k, temperature, seed,
+                   diagnostics=False)[:2]
 
 
 def ppl_by_length(sentences: list[Sentence], log_marginals: np.ndarray,
@@ -269,35 +301,8 @@ def distributional_metrics(sentences: list[Sentence],
     actions from the conditional prior with words held fixed.  Posterior and
     uniform entropies are exact.
     """
-    if not sentences:
-        raise DataError("empty corpus")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    recon_sum = 0.0
-    kl_sum = post_sum = prior_sum = uniform_sum = 0.0
-    tokens = 0
-    for i, sentence in enumerate(sentences):
-        rng = np.random.default_rng((seed, 7000 + i))
-        ids = np.asarray(sentence.ids, dtype=np.int64)
-        chart = inside(inference.span_scores(ids[None]))
-        post_sum += float(tree_entropy(chart).data[0])
-        uniform_sum += math.log(count_trees(len(ids)))
-        # each distinct tree is scored once, and the means run over all k
-        terminal, action, which, log_qs = _sampled_joints(model, ids, chart,
-                                                          rng, k)
-        recon_sum += float(terminal[which].mean())
-        kl_sum += float((log_qs[which] - action[which]).mean())
-        _, prior_lp = model.sample_actions_conditional(ids, k, rng)
-        prior_sum += float(-prior_lp.mean())
-        tokens += len(ids)
-    n = len(sentences)
-    return {
-        "reconstruction_perplexity": float(np.exp(-recon_sum / tokens)),
-        "kl": kl_sum / n,
-        "posterior_entropy": post_sum / n,
-        "prior_entropy": prior_sum / n,
-        "uniform_entropy": uniform_sum / n,
-    }
+    return _corpus(sentences, model, inference, k, DEFAULT_TEMPERATURE, seed,
+                   iw=False)[2]
 
 
 # -- report assembly ----------------------------------------------------------
@@ -345,9 +350,8 @@ def evaluate_corpus(sentences: list[Sentence], model: GenerativeModel,
         if all(isinstance(g, ParseNode) for g in gold):
             brackets["label_recall"] = label_recall(predicted, gold, punct,
                                                     labels)
-    perplexity, log_marginals = iw_perplexity(
-        sentences, model, inference, k, temperature, seed)
-    dist = distributional_metrics(sentences, model, inference, k, seed)
+    perplexity, log_marginals, dist = _corpus(sentences, model, inference, k,
+                                              temperature, seed)
     return EvalReport(perplexity=perplexity, log_marginals=log_marginals,
                       ppl_by_length=ppl_by_length(
                           sentences, log_marginals, length_edges),
@@ -371,10 +375,6 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvalReport, path) -> None:
-    atomic_write_text(path, format_report(report))
-
-
 def format_sentence_tsv(report: EvalReport,
                         sentences: list[Sentence]) -> str:
     """Per-sentence TSV: index, length, log marginal, F1 (blank if skipped)."""
@@ -387,8 +387,3 @@ def format_sentence_tsv(report: EvalReport,
             f1 = repr(report.sentence_f1[i])
         rows.append(f"{i}\t{len(sentence.ids)}\t{log_m}\t{f1}")
     return "\n".join(rows) + "\n"
-
-
-def write_sentence_tsv(report: EvalReport, sentences: list[Sentence],
-                       path) -> None:
-    atomic_write_text(path, format_sentence_tsv(report, sentences))

@@ -27,13 +27,14 @@ position, over all rows at once.  Both cells run through one level routine,
 :func:`~urnng.nn.lstm_levels`, and the scorer and the samplers through one
 :meth:`_Stack.run`; the samplers must read the top state before each draw,
 so each of their steps is one level, and their tables keep only the live
-pushes, those on some row's stack.  Without a tape and without dropout,
-rows that have taken the same actions over the same words share each push,
-a node of the prefix trie.  Neither head feeds back into the stack, so the
-action head scores all steps in one pass and the word head all SHIFT and
-EOS contexts in one tied-softmax pass (untaped, in blocks of bounded
-size).  On a tape the contexts are one node, whose vjp sweeps the levels
-in reverse.
+pushes, those on some row's stack; the forced REDUCEs after a row's last
+word run no cell, as no draw reads them.  Without a tape and without
+dropout, rows that have taken the same actions over the same words share
+each push, a node of the prefix trie.  Neither head feeds back into the
+stack, so the action head scores all steps in one pass and the word head
+all SHIFT and EOS contexts in one tied-softmax pass (untaped, in blocks of
+bounded size).  On a tape the contexts are one node, whose vjp sweeps the
+levels in reverse.
 
 The RNNLM baseline is the same recurrence over SHIFTs alone, under its own
 LSTM weights and word bias: a level per position, with the dropout draws
@@ -77,7 +78,7 @@ class _Stack:
         self.pos, self.below, self.height = np.zeros((3, size), np.int64)
         self.word, self.kids = np.full(size, -1), np.zeros((size, 2), np.int64)
         # a table per level, np.empty: untouched pages stay unmapped and
-        # reused memory is not cleared; :meth:`run` writes all but row 0
+        # reused memory is not cleared; :meth:`run` sets each row read but 0
         self.h, self.c = ([np.empty((size, model.dim))
                            for _ in range(model.layers + 1)] for _ in "hc")
         for table in self.h + self.c:
@@ -170,13 +171,17 @@ class _Stack:
             nn.lstm_levels(x, self.below[:, None], depths, w.data, b.data,
                            self.h[layer], self.c[layer], saved[layer])
 
-    def step(self, actions: np.ndarray, word_ids: np.ndarray | None) -> tuple:
-        """:meth:`push`, then :meth:`run` over the new pushes as one level:
-        the samplers' step-major path, which reads each top state before
-        the next draw."""
+    def step(self, actions: np.ndarray, word_ids: np.ndarray | None,
+             words: int) -> tuple:
+        """:meth:`push`, then :meth:`run` as one level over the pushes of rows
+        with fewer than ``words`` shifted; returns each new push, or 0, the
+        zero pair, if it did not run, and each row's index among them."""
         new, child = self.push(actions, word_ids)
-        reduce = new[self.word[new] < 0]
-        self.run(new, [reduce] if reduce.size else [], [new])
+        new[child[self.used >= words]] = 0
+        run = new[new > 0]
+        if run.size:
+            reduce = run[self.word[run] < 0]
+            self.run(run, [reduce] if reduce.size else [], [run])
         return new, child
 
 
@@ -422,7 +427,7 @@ class GenerativeModel(_TiedLM):
             logprob += np.where(must_shift | must_reduce, 0.0, term)
             actions[:, step] = acts
             if step + 1 < steps:    # nothing reads the state after the last
-                new, child = stack.step(acts, ids[stack.used % t_len])
+                new, child = stack.step(acts, ids[stack.used % t_len], t_len)
         return actions, logprob
 
     def generate(self, rng: np.random.Generator,
@@ -451,7 +456,7 @@ class GenerativeModel(_TiedLM):
                 if rng.random() < p_reduce:
                     total += np.log(p_reduce)
                     actions.append(REDUCE)
-                    stack.step(np.array([REDUCE]), None)
+                    stack.step(np.array([REDUCE]), None, max_len)
                     continue
                 total += np.log1p(-p_reduce)
             logits = hidden @ p["emb"].data.T + p["gen.word_b"].data
@@ -464,7 +469,7 @@ class GenerativeModel(_TiedLM):
                 break
             ids.append(word)
             actions.append(SHIFT)
-            stack.step(np.array([SHIFT]), np.array([word]))
+            stack.step(np.array([SHIFT]), np.array([word]), max_len)
         truncated = len(ids) >= max_len     # EOS ends the loop before that
         if not ids:
             return GenerationResult((), (), None, total, truncated, True,

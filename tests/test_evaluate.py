@@ -1,22 +1,26 @@
 """Evaluation tests: importance-weighted estimates against enumeration
 oracles, evalb-style bracket fixtures, and the diagnostic estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from urnng import evaluate, oracle
-from urnng.crf import SpanScores, flatten, inside, sample_tree, tree_log_prob
+from urnng.crf import (SpanScores, flatten, inside, sample_tree,
+                       sample_trees, tree_log_prob)
 from urnng.evaluate import (EvalReport, bracket_multiset,
                             distributional_metrics, evaluate_corpus,
+                            format_report, format_sentence_tsv,
                             iw_log_marginal, iw_perplexity, label_recall,
                             ppl_by_length, prefer_grammatical, unlabeled_f1,
-                            write_report, write_sentence_tsv)
+                            viterbi_parses)
+from urnng.rnng import GenerativeModel
 from urnng.trainer import build_models
 from urnng.treebank import (DataError, Sentence, TreeRepr, count_trees,
                             left_branching, parse_sexprs, random_tree,
-                            right_branching)
+                            right_branching, tree_actions)
 
 from tests.test_crf import reference_sample_tree
 from tests.test_trainer import tiny_config
@@ -437,8 +441,9 @@ class TestPreferGrammatical:
 
 class TestReportOutput:
     def test_unevaluable_gold_fails_before_iw_pass(self, monkeypatch):
+        # the pass draws its first trees through ``sample_trees``
         calls = []
-        monkeypatch.setattr(evaluate, "iw_perplexity",
+        monkeypatch.setattr(evaluate, "sample_trees",
                             lambda *args: calls.append(args))
         model, net = tiny_models()
         # after the final punctuation goes, only trivial spans remain
@@ -448,7 +453,70 @@ class TestReportOutput:
             evaluate_corpus(sentences, model, net, gold=gold, k=1000)
         assert calls == []
 
-    def test_evaluate_corpus_and_writers(self, tmp_path):
+    @staticmethod
+    def shared_corpus():
+        # short sentences, where the flattened and the plain chart draw many
+        # of the same trees
+        model, net = tiny_models(seed=17)
+        sentences = [sentence_of([2, 5, 3, 4]), sentence_of([6, 2, 7]),
+                     sentence_of([3, 4, 5, 6, 7]), sentence_of([7, 6])]
+        return model, net, sentences, 40, 3
+
+    @staticmethod
+    def drawn_trees(net, sentence, seed, i, k):
+        """Each proposal's distinct trees, as action tuples, drawn as the
+        pass draws them."""
+        ids = np.array([sentence.ids])
+        scores = net.span_scores(ids)
+        return [{tuple(row) for row in tree_actions(sample_trees(
+            inside(chart), np.random.default_rng((seed, at + i)),
+            np.zeros(k, np.int64))[0], ids.shape[1])}
+            for chart, at in ((flatten(scores, 2.0), 9000), (scores, 7000))]
+
+    def test_one_pass_equals_the_parts_run_separately(self):
+        model, net, sentences, k, seed = self.shared_corpus()
+        assert all(len(iw & diag) for iw, diag in (
+            self.drawn_trees(net, s, seed, i, k)
+            for i, s in enumerate(sentences)))
+        gold = parse_sexprs("(S (NP (X a) (X b)) (VP (X c) (X d))) "
+                            "(S (X a) (NP (X b) (X c))) "
+                            "(S (NP (X a) (X b)) (VP (X c) (PP (X d) (X e)))) "
+                            "(S (X a) (X b))")
+        report = evaluate_corpus(sentences, model, net, gold=gold, k=k,
+                                 seed=seed)
+        perplexity, log_marginals = iw_perplexity(sentences, model, net,
+                                                  k=k, seed=seed)
+        predicted = viterbi_parses(net, sentences)
+        punct = [s.punct for s in sentences]
+        f1, per_sentence = unlabeled_f1(predicted, gold, punct)
+        want = EvalReport(
+            perplexity=perplexity, log_marginals=log_marginals,
+            ppl_by_length=ppl_by_length(sentences, log_marginals,
+                                        (0, 10, 20, 30, 40, 150)),
+            corpus_f1=f1, sentence_f1=per_sentence,
+            label_recall=label_recall(predicted, gold, punct),
+            **distributional_metrics(sentences, model, net, k=k, seed=seed))
+        for name in (f.name for f in dataclasses.fields(EvalReport)):
+            got, expected = getattr(report, name), getattr(want, name)
+            if name == "log_marginals":
+                got, expected = got.tolist(), expected.tolist()
+            assert got == expected, name
+
+    def test_one_pass_scores_each_distinct_tree_once(self, monkeypatch):
+        model, net, sentences, k, seed = self.shared_corpus()
+        rows, score = [], GenerativeModel.joint_log_likelihood_batch
+        monkeypatch.setattr(
+            GenerativeModel, "joint_log_likelihood_batch",
+            lambda self, ids, actions: rows.append(len(actions))
+            or score(self, ids, actions))
+        evaluate_corpus(sentences, model, net, k=k, seed=seed)
+        # one chunk per sentence: the union of both proposals' trees
+        unions = [len(iw | diag) for iw, diag in (
+            self.drawn_trees(net, s, seed, i, k)
+            for i, s in enumerate(sentences))]
+        assert rows == unions
+
+    def test_evaluate_corpus_and_formats(self):
         model, net = tiny_models()
         sentences = [sentence_of([2, 3, 4]), sentence_of([5, 6, 7, 3]),
                      sentence_of([4, 2, 5])]
@@ -464,16 +532,12 @@ class TestReportOutput:
                                             "ADJP", "ADVP"}
         assert report.ppl_by_length["(0,3]"] is not None
 
-        report_path = tmp_path / "report.txt"
-        write_report(report, report_path)
-        text = report_path.read_text()
+        text = format_report(report)
         assert "perplexity " in text and "corpus_f1 " in text
         assert "label_recall.NP " in text
         assert "ppl_by_length.(0,3] " in text
 
-        tsv_path = tmp_path / "sentences.tsv"
-        write_sentence_tsv(report, sentences, tsv_path)
-        lines = tsv_path.read_text().splitlines()
+        lines = format_sentence_tsv(report, sentences).splitlines()
         assert lines[0] == "index\tlength\tlog_marginal\tf1"
         assert len(lines) == 4
         assert lines[1].split("\t")[1] == "3"

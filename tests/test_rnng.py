@@ -582,31 +582,71 @@ class TestPrefixSharing:
 
     def test_prior_sampler_runs_one_row_per_distinct_prefix(self,
                                                             monkeypatch):
+        # each step's level runs each layer once over the distinct prefixes
+        # with a word left to shift; after its last word a row's draws are
+        # forced REDUCEs, and no draw reads their states
         model = GenerativeModel(8, dim=5, rng=np.random.default_rng(55))
         rows = self.count_cell_rows(monkeypatch)
+        ids = np.array([2, 3, 4, 5, 6])
         actions, _ = model.sample_actions_conditional(
-            np.array([2, 3, 4]), 1000, np.random.default_rng(56))
-        steps = actions.shape[1]
-        assert len(rows) == model.layers * (steps - 1)
-        for step in range(steps - 1):
-            prefixes = len({tuple(a) for a in actions[:, :step + 1]})
-            assert rows[model.layers * step] <= prefixes
-        assert sum(rows) < 1000
+            ids, 1000, np.random.default_rng(56))
+        want = []
+        for length in range(1, actions.shape[1]):
+            prefixes = {tuple(a) for a in actions[:, :length]
+                        if (a == S).sum() < len(ids)}
+            want += [len(prefixes)] * model.layers if prefixes else []
+        assert rows == want
+        assert 0 < sum(rows) < model.layers * len(
+            {tuple(a[:n]) for a in actions for n in range(1, len(a))})
 
     def test_prior_sampler_steps_no_cell_after_its_last_draw(self,
                                                               monkeypatch):
         # at T = 3 the sampler draws both trees, SSRSR and SSSRR; the cells
-        # run once per layer for each distinct prefix of length 1 to 2T - 2
+        # run once per layer for S, SS and SSR, the prefixes with a word
+        # left, and for none of SSS, SSRS and SSSR
         model = GenerativeModel(8, dim=5, rng=np.random.default_rng(55))
         rows = self.count_cell_rows(monkeypatch)
         actions, _ = model.sample_actions_conditional(
             np.array([2, 3, 4]), 1000, np.random.default_rng(56))
         assert {tuple(a) for a in actions} == {(S, S, R, S, R),
                                                (S, S, S, R, R)}
-        prefixes = sum(len({tuple(a) for a in actions[:, :length]})
-                       for length in range(1, actions.shape[1]))
-        assert prefixes == 6
-        assert sum(rows) == model.layers * prefixes == 12
+        assert rows == [1] * model.layers * 3 == [1] * 6
+
+    def test_samplers_read_no_state_they_did_not_set(self, monkeypatch):
+        # the tables are np.empty and the pushes after a row's last word
+        # never run: with every row but the zero pair NaN, the draws, their
+        # log-probs and the generators' end states must not move, no
+        # action logit may be NaN, and no cell may read a NaN state
+        model = GenerativeModel(47, dim=16, rng=np.random.default_rng(60))
+        ids = np.random.default_rng(61).integers(2, 47, 9)
+
+        def draw():
+            rng = np.random.default_rng(62)
+            with np.errstate(all="raise"):
+                actions, logprob = model.sample_actions_conditional(ids, 500,
+                                                                    rng)
+                made = [model.generate(rng, max_len=n) for n in (1, 3, 6)]
+            return actions, logprob, made, rng.bit_generator.state
+
+        want = draw()
+        init, sigmoid = rnng._Stack.__init__, ad.sigmoid_array
+
+        def unset(self, model, n, steps, shared, size):
+            # room for every push, so no compaction leaves rows unfilled
+            init(self, model, n, steps, shared, n * steps + 1)
+            for table in self.h + self.c:
+                table[1:] = np.nan
+
+        def finite(x):
+            assert np.isfinite(x).all()
+            return sigmoid(x)
+
+        monkeypatch.setattr(rnng._Stack, "__init__", unset)
+        monkeypatch.setattr(ad, "sigmoid_array", finite)
+        actions, logprob, made, state = draw()
+        np.testing.assert_array_equal(actions, want[0])
+        np.testing.assert_array_equal(logprob, want[1])
+        assert made == want[2] and state == want[3]
 
     def test_untaped_rnnlm_runs_one_row_per_distinct_prefix(self,
                                                              monkeypatch):
